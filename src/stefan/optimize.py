@@ -9,6 +9,15 @@ criterion fails the infimum is -inf along explicit escape rays;
 ``minimize`` detects that regime by watching for iterates that leave a
 large box while the energy is still falling, and reports Diverged
 instead of grinding to max_iter.
+
+The Hessian is tridiagonal, so each Newton step costs one pass over
+the strips (``energy._Point``) and an O(n) LDL^T on its two bands,
+whose pivots double as the positive-definiteness test of the damping
+schedule.  The same pivots certify a minimum: a point with a vanishing
+gradient is reported Converged only if they are all positive, and is
+otherwise left along a direction of nonpositive curvature.  Once the
+energy is flat at machine resolution, a short bounded run of Newton
+steps is accepted on a strict decrease of the gradient instead.
 """
 
 from __future__ import annotations
@@ -26,9 +35,8 @@ from .energy import (
     Fronts,
     ProblemSpec,
     _fronts,
+    _Point,
     energy,
-    gradient,
-    hessian,
 )
 
 __all__ = [
@@ -47,12 +55,13 @@ __all__ = [
 
 _ARMIJO_C = 1e-4
 _BACKTRACK = 0.5
-_DAMPING_MAX = 1e12
 _DIVERGENCE_WINDOW = 10
+_EPS = float(np.finfo(float).eps)
+_FLAT_STEPS = 8
 
 
 class NewtonBreakdown(RuntimeError):
-    """Raised when no tractable damping renders the model convex."""
+    """Raised when the Hessian is not finite, so no damping can help."""
 
 
 @dataclass(frozen=True)
@@ -98,40 +107,114 @@ class SolveResult:
     trace: Tuple[IterationRecord, ...]
 
 
+def _ldl(diag, off, lam):
+    """LDL^T of the tridiagonal (T + lam*I), stopped at the first pivot <= 0.
+
+    Returns (pivots, multipliers): l[i] is L's entry below the diagonal
+    in column i-1 (l[0] is unused).  T + lam*I is positive definite
+    exactly when all n pivots come back positive (Golub & Van Loan 4.3).
+    """
+    n = len(diag)
+    piv = [0.0] * n
+    l = [0.0] * n
+    prev = piv[0] = diag[0] + lam
+    for i in range(1, n):
+        if not prev > 0.0:
+            return piv[:i], l[:i]
+        m = l[i] = off[i - 1] / prev
+        prev = piv[i] = diag[i] + lam - m * off[i - 1]
+    return piv, l
+
+
+def _ldl_solve(piv, l, g):
+    """Solve L D L^T p = -g from a complete factorization."""
+    n = len(piv)
+    y = [0.0] * n
+    acc = y[0] = -g[0]
+    for i in range(1, n):
+        acc = y[i] = -g[i] - l[i] * acc
+    p = [0.0] * n
+    acc = p[n - 1] = y[n - 1] / piv[n - 1]
+    for i in range(n - 2, -1, -1):
+        acc = p[i] = y[i] / piv[i] - l[i + 1] * acc
+    return p
+
+
+def _positive(piv, n):
+    return len(piv) == n and piv[-1] > 0.0
+
+
+def _dot(u, v):
+    return math.fsum([a * b for a, b in zip(u, v)])
+
+
+def _damped_step(g, diag, off, damping_min):
+    """Damped Newton direction from the Hessian bands; see newton_step."""
+    n = len(diag)
+    if not (all(map(math.isfinite, diag)) and all(map(math.isfinite, off))):
+        raise NewtonBreakdown("Hessian is not finite")
+    shift = max(
+        (abs(off[i - 1]) if i > 0 else 0.0)
+        + (abs(off[i]) if i < n - 1 else 0.0)
+        - diag[i]
+        for i in range(n)
+    )
+    # Past the Gershgorin shift T + lam*I is strictly diagonally dominant
+    # with a positive diagonal, so the schedule ends there at the latest.
+    bound = max(shift, 0.0)
+    lam = 0.0
+    while True:
+        piv, l = _ldl(diag, off, lam)
+        if _positive(piv, n):
+            p = _ldl_solve(piv, l, g)
+            if _dot(g, p) < 0.0 or not any(g) or lam > bound:
+                return p, lam
+        lam = damping_min if lam == 0.0 else 2.0 * lam
+        if lam == math.inf:
+            raise NewtonBreakdown("damping overflowed without a usable direction")
+
+
+def _negative_curvature(diag, off):
+    """A direction of nonpositive curvature, or None if T is positive definite.
+
+    At the first pivot d_k <= 0 of the undamped LDL^T, v = L^-T e_k
+    satisfies v^T T v = d_k.  v is scaled to unit max-norm.
+    """
+    n = len(diag)
+    piv, l = _ldl(diag, off, 0.0)
+    if _positive(piv, n):
+        return None
+    k = len(piv) - 1
+    v = [0.0] * n
+    acc = v[k] = 1.0
+    for i in range(k - 1, -1, -1):
+        acc = v[i] = -l[i + 1] * acc
+    top = max(abs(t) for t in v)
+    return [t / top for t in v]
+
+
 def newton_step(
     spec: ProblemSpec, xi: Fronts, damping_min: float = 1e-12
 ) -> Tuple[np.ndarray, float]:
     """Damped Newton direction at a feasible point.
 
-    Solves (H + lam*I) p = -g with lam = 0 when the Hessian is already
-    positive definite, otherwise the smallest value of a doubling
-    schedule starting at damping_min that makes the factorization
-    succeed.  The returned direction always satisfies g.p < 0 unless
-    the gradient is zero, in which case p = 0.
+    Solves (H + lam*I) p = -g by an O(n) LDL^T on the two bands of the
+    tridiagonal Hessian.  lam = 0 when the Hessian is already positive
+    definite, otherwise the smallest value of a doubling schedule
+    starting at damping_min whose pivots all come out positive and
+    whose direction descends.  The schedule is bounded by the
+    Gershgorin shift max_i(|off_{i-1}| + |off_i| - diag_i): beyond it the
+    damped matrix is positive definite and the direction is returned as
+    it is.  The direction satisfies g.p < 0 unless the gradient is zero
+    (then p = 0) or g.p rounds to zero past that bound.  Raises
+    NewtonBreakdown only when the Hessian is not finite.
     """
-    g = gradient(spec, xi)
-    h = hessian(spec, xi)
-    n = len(g)
-    eye = np.eye(n)
-    lam = 0.0
-    while True:
-        try:
-            chol = np.linalg.cholesky(h + lam * eye)
-        except np.linalg.LinAlgError:
-            chol = None
-        if chol is not None:
-            p = np.linalg.solve(h + lam * eye, -g)
-            descent = float(g @ p)
-            if descent < 0.0 or not g.any():
-                return p, lam
-        lam = damping_min if lam == 0.0 else 2.0 * lam
-        if lam > _DAMPING_MAX:
-            raise NewtonBreakdown(
-                f"damping exceeded {_DAMPING_MAX:g} without a usable direction"
-            )
+    point = _Point(spec, _fronts(spec, xi))
+    p, lam = _damped_step(point.gradient(), *point.bands(), damping_min)
+    return np.array(p), lam
 
 
-def _boundary_cap(x: np.ndarray, p: np.ndarray, fraction: float) -> float:
+def _boundary_cap(x: Sequence[float], p: Sequence[float], fraction: float) -> float:
     """Largest step times `fraction` that keeps the ordering strict."""
     cap = math.inf
     for i in range(len(x) - 1):
@@ -141,10 +224,21 @@ def _boundary_cap(x: np.ndarray, p: np.ndarray, fraction: float) -> float:
     return fraction * cap
 
 
-def _default_start(spec: ProblemSpec) -> np.ndarray:
+def _default_start(spec: ProblemSpec) -> list:
     abar = sum(spec.a) / len(spec.a)
     n = spec.n
-    return np.array([(i - 0.5 * (n + 1)) * abar for i in range(1, n + 1)])
+    return [(i - 0.5 * (n + 1)) * abar for i in range(1, n + 1)]
+
+
+def _feasible(x: Sequence[float]) -> bool:
+    """Finite and strictly increasing."""
+    return all(map(math.isfinite, x)) and all(
+        x[i] < x[i + 1] for i in range(len(x) - 1)
+    )
+
+
+def _gnorm(g: Sequence[float]) -> float:
+    return max(abs(v) for v in g)
 
 
 def minimize(
@@ -155,80 +249,95 @@ def minimize(
     """Minimize the interface energy by damped Newton with backtracking.
 
     Starts from equispaced interfaces centered at the origin (spacing:
-    the mean diffusivity) unless an explicit feasible start is given.
-    Accepted iterates decrease the energy strictly and stay inside the
+    the mean diffusivity) unless an explicit feasible start is given;
+    the start is validated once and trial points are only checked for
+    being finite and strictly ordered.  Each point is evaluated in one
+    pass over its strips: line-search trials need the energy only, and
+    the accepted trial's strips give the gradient and the two bands of
+    the tridiagonal Hessian.  The Newton system is solved by an O(n)
+    LDL^T on those bands, damped as in ``newton_step``.  Accepted
+    iterates decrease the energy strictly and stay inside the
     feasibility cone.  Termination:
 
-    Converged      max-norm of the gradient at or below opts.grad_tol
+    Converged      max-norm of the gradient at or below opts.grad_tol and
+                   a positive definite Hessian (all undamped LDL^T
+                   pivots positive)
     Diverged       an iterate left [-xi_max, xi_max] while the energy was
                    still falling over the trailing window; happens when
                    the coercivity criterion fails
-    MaxIterations  neither of the above within opts.max_iter steps
+    MaxIterations  neither of the above within opts.max_iter steps, or
+                   no further certifiable progress
 
-    Once the expected energy decrease falls below machine resolution,
-    sufficient-decrease tests stop meaning anything; a final Newton
-    step is then accepted if it lands the gradient under grad_tol.
-    Such a step changes the energy by at most a representable step and
-    is folded into the result without its own trace record, so trace
+    A point with a small gradient but a pivot d_k <= 0 is a saddle or
+    worse, not a solution: the next step then goes along
+    v = L^-T e_k, whose curvature v^T H v is d_k, signed so that
+    g.v <= 0 and capped like any other step.
+
+    Once energy differences fall below machine resolution,
+    sufficient-decrease tests stop meaning anything.  A bounded run of
+    at most 8 such flat Newton steps per solve is then accepted, each on
+    a strict decrease of the gradient's max-norm.  A flat step changes
+    the energy by at most a few representable steps and gets no trace
+    record of its own (it still counts as an iteration), so trace
     energies are strictly decreasing by construction.
     """
     opts = SolveOptions() if opts is None else opts
     if start is None:
         x = _default_start(spec)
     else:
-        x = np.array(_fronts(spec, start))
+        x = list(_fronts(spec, start))
 
-    f = energy(spec, x)
-    g = gradient(spec, x)
-    gn = float(np.max(np.abs(g)))
+    point = _Point(spec, x)
+    f = point.energy
+    g = point.gradient()
+    gn = _gnorm(g)
     trace = [IterationRecord(0, f, gn)]
     iterations = 0
+    flat_left = _FLAT_STEPS
 
     for it in range(1, opts.max_iter + 1):
         if gn <= opts.grad_tol:
-            break
-        p, _ = newton_step(spec, x, opts.damping_min)
-        slope = float(g @ p)
-        if slope >= 0.0:
+            p = _negative_curvature(*point.bands())
+            if p is None:
+                break  # a certified minimum
+            if _dot(g, p) > 0.0:
+                p = [-v for v in p]
+        else:
+            p, _ = _damped_step(g, *point.bands(), opts.damping_min)
+        slope = _dot(g, p)
+        if slope >= 0.0 and gn > opts.grad_tol:
             break  # gradient is numerically zero; nothing to gain
         alpha = min(1.0, _boundary_cap(x, p, opts.boundary_fraction))
-        flat_tol = 8.0 * np.finfo(float).eps * max(1.0, abs(f))
-        accepted = False
+        flat_tol = 8.0 * _EPS * max(1.0, abs(f))
+        accepted = flat = False
         while alpha > 1e-20:
-            xt = x + alpha * p
-            moved = bool(np.any(xt != x))
-            if moved and all(xt[i] < xt[i + 1] for i in range(len(xt) - 1)):
-                ft = energy(spec, xt)
-                if ft < f and ft <= f + _ARMIJO_C * alpha * slope:
+            xt = [xi + alpha * pi for xi, pi in zip(x, p)]
+            if xt != x and _feasible(xt):
+                trial = _Point(spec, xt)
+                ft = trial.energy
+                # below the last recorded energy too, after flat steps
+                if ft <= f + _ARMIJO_C * alpha * slope and ft < min(f, trace[-1].energy):
                     accepted = True
                     break
                 if abs(ft - f) <= flat_tol:
                     # Energy is flat at machine resolution; let the
-                    # gradient decide whether this step finishes the job.
-                    gt = gradient(spec, xt)
-                    gnt = float(np.max(np.abs(gt)))
-                    if gnt <= opts.grad_tol:
-                        point = FreeBoundaries(tuple(float(v) for v in xt))
-                        return SolveResult(
-                            SolveStatus.CONVERGED,
-                            point,
-                            float(ft),
-                            gnt,
-                            it,
-                            tuple(trace),
-                        )
-                    break  # flat but not stationary: no certifiable progress
+                    # gradient decide whether this step makes progress.
+                    flat = flat_left > 0 and _gnorm(trial.gradient()) < gn
+                    break
             alpha *= _BACKTRACK
-        if not accepted:
+        if not (accepted or flat):
             break  # stalled by roundoff; report honestly below
 
-        x, f = xt, ft
-        g = gradient(spec, x)
-        gn = float(np.max(np.abs(g)))
+        x, f, point = xt, ft, trial
+        g = point.gradient()
+        gn = _gnorm(g)
         iterations = it
+        if flat:
+            flat_left -= 1
+            continue
         trace.append(IterationRecord(it, f, gn))
 
-        escaped = float(np.max(np.abs(x))) > opts.xi_max
+        escaped = max(abs(v) for v in x) > opts.xi_max
         window_ok = len(trace) > _DIVERGENCE_WINDOW
         if (
             escaped
@@ -239,8 +348,8 @@ def minimize(
                 SolveStatus.DIVERGED, None, f, gn, iterations, tuple(trace)
             )
 
-    if gn <= opts.grad_tol:
-        point = FreeBoundaries(tuple(float(v) for v in x))
+    if gn <= opts.grad_tol and _negative_curvature(*point.bands()) is None:
+        point = FreeBoundaries(tuple(x))
         return SolveResult(
             SolveStatus.CONVERGED, point, f, gn, iterations, tuple(trace)
         )

@@ -155,6 +155,15 @@ class TestSolve:
         assert payload["xi_star"] is None
         assert payload["residuals"] is None
 
+    def test_saddle_at_default_start_exits_3(self, tmp_path, capsys):
+        # the default start xi = 0 is a stationary point with negative
+        # curvature; it must not be reported as a solution
+        code = main(["solve", write_config(tmp_path, SYM_NONCOERCIVE)])
+        payload = json.loads(capsys.readouterr().out)
+        assert code == 3
+        assert payload["status"] == "Diverged"
+        assert payload["xi_star"] is None
+
     def test_iteration_limit_exits_4(self, tmp_path, capsys):
         code = main(["solve", write_config(tmp_path, ASYM), "--max-iter", "1"])
         payload = json.loads(capsys.readouterr().out)
@@ -250,6 +259,12 @@ class TestProfile:
         code, _ = self.run_profile(tmp_path, ESCAPING, 1.0)
         assert code == 3
         assert "Diverged" in capsys.readouterr().err
+
+    def test_saddle_writes_no_profile(self, tmp_path, capsys):
+        code, out = self.run_profile(tmp_path, SYM_NONCOERCIVE, 1.0)
+        assert code == 3
+        assert "Diverged" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unwritable_output_exits_1(self, tmp_path, capsys):
         out = tmp_path / "missing-dir" / "p.csv"

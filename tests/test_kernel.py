@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from stefan.kernel import PDF_PEAK, cdf, log_gap, log_pdf, pdf
+from stefan.kernel import PDF_PEAK, _erfcx_cf, cdf, log_gap, log_pdf, pdf
 
 from helpers import quad_cdf
 
@@ -40,6 +40,16 @@ LOG_GAP_POINTS = [
     (6.0, 9.0, -11.413519123061457),
     (12.0, INF, -39.07070835378333),
     (-INF, 0.0, -0.6931471805599453),
+]
+
+# (x, value) of the continued fraction for exp(x^2) erfc(x), frozen from
+# the implementation that stopped only on an exact unit factor; these
+# arguments stop after 2, 27, 102 and 470 terms
+ERFCX_CF_POINTS = [
+    (14995942.253489535, 3.762281649333965e-08),
+    (442131399.621959, 1.2760676668297348e-09),
+    (851350064.5041283, 6.626998776071961e-10),
+    (1970162107.8384194, 2.8636708690270867e-10),
 ]
 
 
@@ -154,3 +164,23 @@ def test_tail_ratio_band():
         )
         ratio = math.exp(log_ratio)
         assert 1.0 - 2.0 / (x * x) - 1e-3 <= ratio <= 1.0 + 1e-3
+
+
+def test_erfcx_cf_values_are_unchanged():
+    for x, want in ERFCX_CF_POINTS:
+        assert _erfcx_cf(x) == want
+
+
+def test_erfcx_cf_terminates_when_factor_sticks_below_one():
+    # the factor settles at 1 - 2**-53 here and never reaches 1 exactly
+    x = 377870634.1951371
+    asymptote = (1.0 - 0.5 / (x * x)) / (x * math.sqrt(math.pi))
+    assert _erfcx_cf(x) == pytest.approx(asymptote, rel=1e-15)
+
+
+def test_log_gap_far_right_tail():
+    # log(1 - cdf(a)) = log_pdf(a) + log(2/a) to double precision out here
+    for a in (7.6e8, 2.0 * 377870634.1951371):
+        want = log_pdf(a) + math.log(2.0 / a)
+        assert log_gap(a, INF) == pytest.approx(want, rel=1e-15)
+        assert log_gap(-INF, -a) == log_gap(a, INF)

@@ -1,14 +1,20 @@
 """Newton solver, divergence detection, and the brute-force oracles."""
+import math
+
 import numpy as np
 import pytest
 
+import stefan.kernel
 from stefan import (
+    NewtonBreakdown,
     ProblemSpec,
     SolveOptions,
     SolveStatus,
     check_wellposedness,
     energy,
+    gradient,
     grid_search,
+    hessian,
     minimize,
     newton_step,
     ray_point,
@@ -16,7 +22,14 @@ from stefan import (
     stefan_residuals,
 )
 
-from helpers import random_convex_spec, random_fronts
+from stefan.optimize import _damped_step, _negative_curvature
+
+from helpers import (
+    random_coercive_spec,
+    random_convex_spec,
+    random_fronts,
+    random_noncoercive_spec,
+)
 
 SYM = ProblemSpec(u=(-1.0, 0.0, 1.0), a=(1.0, 1.0), k=(1.0, 1.0), d=(0.0,))
 ASYM = ProblemSpec(u=(-1.0, 0.0, 2.0), a=(1.0, 1.0), k=(1.0, 1.0), d=(0.0,))
@@ -77,6 +90,66 @@ class TestNewtonStep:
         p, lam = newton_step(SINK, (0.0,))
         assert lam > 0.0
 
+    @pytest.mark.parametrize("family", [random_convex_spec, random_coercive_spec])
+    @pytest.mark.parametrize("n", [1, 3, 10, 50])
+    def test_banded_solve_matches_dense(self, family, n):
+        rng = np.random.default_rng(100 + n)
+        for _ in range(3):
+            spec = family(rng, n)
+            xi = random_fronts(rng, n)
+            p, lam = newton_step(spec, xi)
+            h = hessian(spec, xi) + lam * np.eye(n)
+            want = np.linalg.solve(h, -gradient(spec, xi))
+            np.testing.assert_allclose(p, want, rtol=1e-10, atol=0.0)
+
+    def test_damped_solve_matches_dense(self):
+        rng = np.random.default_rng(41)
+        damped = 0
+        for trial in range(40):
+            n = (1, 2, 3, 5)[trial % 4]
+            spec = random_noncoercive_spec(rng, n)
+            xi = random_fronts(rng, n)
+            p, lam = newton_step(spec, xi)
+            if lam == 0.0:
+                continue
+            damped += 1
+            h = hessian(spec, xi) + lam * np.eye(n)
+            want = np.linalg.solve(h, -gradient(spec, xi))
+            np.testing.assert_allclose(p, want, rtol=1e-10, atol=0.0)
+            assert float(gradient(spec, xi) @ p) < 0.0
+        assert damped >= 5
+
+    def test_negative_curvature_certificate(self):
+        # None exactly when the Hessian is positive definite, otherwise
+        # a direction with v.H.v <= 0
+        rng = np.random.default_rng(43)
+        indefinite = 0
+        for trial in range(40):
+            n = (1, 2, 4, 7)[trial % 4]
+            spec = random_noncoercive_spec(rng, n)
+            xi = random_fronts(rng, n)
+            h = hessian(spec, xi)
+            v = _negative_curvature(list(np.diag(h)), list(np.diag(h, 1)))
+            lowest = np.linalg.eigvalsh(h)[0]
+            if lowest > 1e-12:
+                assert v is None
+            elif lowest < -1e-12:
+                assert v is not None
+                indefinite += 1
+                v = np.array(v)
+                assert max(abs(v)) == 1.0
+                assert float(v @ h @ v) <= 1e-12
+        assert indefinite >= 5
+
+    def test_breakdown_only_on_nonfinite_hessian(self):
+        g = [1.0, -1.0]
+        # wildly indefinite but finite: the Gershgorin bound ends the schedule
+        p, lam = _damped_step(g, [-1.9e15, 1.0], [3.0], 1e-12)
+        assert lam > 1.9e15 and all(map(math.isfinite, p))
+        for diag, off in (([math.inf, 1.0], [0.0]), ([1.0, 1.0], [math.nan])):
+            with pytest.raises(NewtonBreakdown):
+                _damped_step(g, diag, off, 1e-12)
+
 
 class TestMinimize:
     def test_symmetric_converges_at_origin(self):
@@ -132,6 +205,37 @@ class TestMinimize:
         res = minimize(SINK2)
         assert res.status is SolveStatus.DIVERGED
         assert res.xi_star is None
+
+    def test_saddle_is_not_certified(self):
+        # the origin is stationary for SINK but the curvature there is
+        # 2/pi - 0.75 < 0: the solver must leave along it, not stop
+        assert tuple(gradient(SINK, (0.0,))) == (0.0,)
+        res = minimize(SINK, start=(0.0,))
+        assert res.status is SolveStatus.DIVERGED
+        assert res.xi_star is None
+        assert res.trace[1].energy < res.trace[0].energy
+
+    @pytest.mark.parametrize("seed, n", [(127, 8), (1634, 8), (2287, 2)])
+    def test_noncoercive_escape_does_not_raise(self, seed, n):
+        spec = random_noncoercive_spec(np.random.default_rng(seed), n)
+        res = minimize(spec)
+        assert res.status is SolveStatus.DIVERGED
+
+    def test_one_strip_pass_per_iteration(self, monkeypatch):
+        calls = []
+        real = stefan.kernel.log_gap
+
+        def counting(a, b):
+            calls.append(1)
+            return real(a, b)
+
+        monkeypatch.setattr(stefan.kernel, "log_gap", counting)
+        n = 50
+        spec = random_convex_spec(np.random.default_rng(3), n)
+        res = minimize(spec)
+        assert res.status is SolveStatus.CONVERGED
+        assert res.iterations >= 5
+        assert len(calls) <= 2 * (n + 1) * res.iterations
 
     def test_max_iterations_is_honest(self):
         res = minimize(ASYM, SolveOptions(max_iter=1))
