@@ -27,15 +27,15 @@ import os
 import sys
 from typing import Optional, Tuple
 
-import numpy as np
-
-from .energy import ProblemSpec, check_wellposedness
+from .energy import InvalidProblem, ProblemSpec, check_wellposedness
 from .optimize import SolveOptions, SolveStatus, minimize
 from .solution import assemble, evaluate_profile, validate
 
 __all__ = ["main", "load_config", "ConfigError"]
 
-_ARRAY_KEYS = ("temperatures", "diffusivities", "conductivities", "stefan_numbers")
+# ProblemSpec field -> config key
+_ARRAY_KEYS = {"u": "temperatures", "a": "diffusivities",
+               "k": "conductivities", "d": "stefan_numbers"}
 _SOLVER_KEYS = ("grad_tol", "max_iter", "xi_max", "boundary_fraction", "damping_min")
 _VALIDATE_SAMPLES = 33
 
@@ -51,17 +51,21 @@ class ConfigError(ValueError):
 
 
 def _require_number_list(raw: dict, key: str) -> list:
-    value = raw.get(key)
+    if key not in raw:
+        raise ConfigError(f"missing key '{key}'")
+    value = raw[key]
     if not isinstance(value, list) or not value:
         raise ConfigError(f"key '{key}' must be a non-empty array of numbers")
-    out = []
-    for item in value:
-        if isinstance(item, bool) or not isinstance(item, (int, float)):
-            raise ConfigError(f"key '{key}' must contain only numbers")
-        if math.isnan(item) or math.isinf(item):
-            raise ConfigError(f"key '{key}' must contain only finite numbers")
-        out.append(float(item))
-    return out
+    if any(isinstance(item, bool) or not isinstance(item, (int, float)) for item in value):
+        raise ConfigError(f"key '{key}' must contain only numbers")
+    return value
+
+
+def _with_options(opts: SolveOptions, fields: dict, where: str) -> SolveOptions:
+    try:
+        return dataclasses.replace(opts, **fields)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 def load_config(path: str) -> Tuple[ProblemSpec, SolveOptions]:
@@ -75,52 +79,30 @@ def load_config(path: str) -> Tuple[ProblemSpec, SolveOptions]:
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
 
-    for key in _ARRAY_KEYS:
-        if key not in raw:
-            raise ConfigError(f"missing key '{key}'")
-    temps = _require_number_list(raw, "temperatures")
-    diff = _require_number_list(raw, "diffusivities")
-    cond = _require_number_list(raw, "conductivities")
-    stefs = _require_number_list(raw, "stefan_numbers")
-
-    n = len(stefs)
-    if len(temps) != n + 2:
-        raise ConfigError(
-            f"key 'temperatures' must hold {n + 2} values for {n} interface(s), got {len(temps)}"
-        )
-    if len(diff) != n + 1:
-        raise ConfigError(
-            f"key 'diffusivities' must hold {n + 1} values for {n} interface(s), got {len(diff)}"
-        )
-    if len(cond) != n + 1:
-        raise ConfigError(
-            f"key 'conductivities' must hold {n + 1} values for {n} interface(s), got {len(cond)}"
-        )
-    if any(b <= a for a, b in zip(temps, temps[1:])):
-        raise ConfigError("key 'temperatures' must be strictly increasing")
-    if any(v <= 0 for v in diff):
-        raise ConfigError("key 'diffusivities' must be positive")
-    if any(v <= 0 for v in cond):
-        raise ConfigError("key 'conductivities' must be positive")
-    spec = ProblemSpec(u=tuple(temps), a=tuple(diff), k=tuple(cond), d=tuple(stefs))
+    arrays = {field: _require_number_list(raw, key) for field, key in _ARRAY_KEYS.items()}
+    try:
+        spec = ProblemSpec(**arrays)
+    except InvalidProblem as exc:
+        # ProblemSpec opens every message with the name of the field at fault
+        field, _, detail = str(exc).partition(": ")
+        raise ConfigError(f"key '{_ARRAY_KEYS[field]}': {detail}") from exc
 
     opts = SolveOptions()
     solver = raw.get("solver")
     if solver is not None:
         if not isinstance(solver, dict):
             raise ConfigError("key 'solver' must be an object")
-        for key in solver:
-            if key not in _SOLVER_KEYS:
-                raise ConfigError(f"unknown solver key '{key}'")
         fields = {}
         for key, value in solver.items():
+            if key not in _SOLVER_KEYS:
+                raise ConfigError(f"unknown solver key '{key}'")
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise ConfigError(f"solver key '{key}' must be a number")
-            fields[key] = int(value) if key == "max_iter" else float(value)
-        try:
-            opts = dataclasses.replace(opts, **fields)
-        except ValueError as exc:
-            raise ConfigError(f"key 'solver': {exc}") from exc
+            try:
+                fields[key] = int(value) if key == "max_iter" else float(value)
+            except (ValueError, OverflowError) as exc:
+                raise ConfigError(f"solver key '{key}': {exc}") from exc
+        opts = _with_options(opts, fields, "key 'solver'")
     return spec, opts
 
 
@@ -149,12 +131,7 @@ def _apply_overrides(opts: SolveOptions, args) -> SolveOptions:
         fields["grad_tol"] = args.grad_tol
     if args.max_iter is not None:
         fields["max_iter"] = args.max_iter
-    if not fields:
-        return opts
-    try:
-        return dataclasses.replace(opts, **fields)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return _with_options(opts, fields, "command line")
 
 
 def cmd_solve(args) -> int:
@@ -202,14 +179,15 @@ def cmd_profile(args) -> int:
     sol = assemble(spec, result.xi_star)
 
     sqrt_t = math.sqrt(args.t)
-    xs = np.linspace(args.x_min, args.x_max, args.samples)
+    # the samples of numpy.linspace, bit for bit
+    step = (args.x_max - args.x_min) / (args.samples - 1)
+    xs = [args.x_min + i * step for i in range(args.samples - 1)] + [args.x_max]
     out_path = args.out
     fronts_path = os.path.join(os.path.dirname(os.path.abspath(out_path)), "fronts.csv")
     try:
         with open(out_path, "w", encoding="utf-8", newline="") as fh:
             fh.write("x,xi,u\n")
             for x in xs:
-                x = float(x)
                 xi = x / sqrt_t
                 fh.write(f"{_fmt(x)},{_fmt(xi)},{_fmt(evaluate_profile(sol, xi))}\n")
         with open(fronts_path, "w", encoding="utf-8", newline="") as fh:

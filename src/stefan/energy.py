@@ -61,7 +61,7 @@ class InfeasiblePoint(ValueError):
 def _as_float_tuple(name: str, values: Iterable[float]) -> Tuple[float, ...]:
     try:
         out = tuple(float(v) for v in values)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise InvalidProblem(f"{name}: expected a sequence of numbers") from exc
     if any(math.isnan(v) or math.isinf(v) for v in out):
         raise InvalidProblem(f"{name}: entries must be finite")
@@ -150,6 +150,15 @@ def _fronts(spec: ProblemSpec, xi: Fronts) -> Tuple[float, ...]:
     return vals
 
 
+def _strips(a: Sequence[float], fronts: Sequence[float]):
+    """(lo, hi, log_gap) of the n+1 strips; strip i spans xi_i/a_i to xi_{i+1}/a_i."""
+    n = len(fronts)
+    lo = [-math.inf] + [fronts[i] / a[i + 1] for i in range(n)]
+    hi = [fronts[i] / a[i] for i in range(n)] + [math.inf]
+    log_gap = kernel.log_gap
+    return lo, hi, [log_gap(lo[i], hi[i]) for i in range(n + 1)]
+
+
 class _Point:
     """Energy at one point from a single pass over the n+1 strips.
 
@@ -163,12 +172,9 @@ class _Point:
                  "_grad", "_bands")
 
     def __init__(self, spec: ProblemSpec, fronts: Sequence[float]):
-        a, u, k, d = spec.a, spec.u, spec.k, spec.d
+        u, k, d = spec.u, spec.k, spec.d
         n = len(fronts)
-        lo = [-math.inf] + [fronts[i] / a[i + 1] for i in range(n)]
-        hi = [fronts[i] / a[i] for i in range(n)] + [math.inf]
-        log_gap = kernel.log_gap
-        lg = [log_gap(lo[i], hi[i]) for i in range(n + 1)]
+        lo, hi, lg = _strips(spec.a, fronts)
         terms = [-(k[i] * (u[i + 1] - u[i]) * lg[i]) for i in range(n + 1)]
         terms += [0.25 * d[i] * fronts[i] * fronts[i] for i in range(n)]
         self.spec = spec
@@ -240,8 +246,8 @@ class WellPosednessReport:
 
     S_upper[j-1] carries the running sum of kappa_{i-1}(u_i - u_{i-1}) + d_i
     for i up to j; S_lower[j-1] the corresponding sum from j down to n.
-    The energy is coercive (a minimizer exists) if and only if every
-    entry of both is >= 0.  convexity_margins[i-1] holds
+    The energy is coercive, which guarantees a minimizer, if and only if
+    every entry of both is >= 0.  convexity_margins[i-1] holds
     min(neighbor fluxes) + 2 d_i; nonnegative margins everywhere force a
     strictly convex energy and hence a unique solution.  borderline is
     set when any of these quantities is within BORDERLINE_TOL of zero,

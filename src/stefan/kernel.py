@@ -287,20 +287,16 @@ def log_gap(a: float, b: float) -> float:
         raise ValueError("log_gap: arguments must not be NaN")
     if not a < b:
         raise ValueError("log_gap: requires a < b")
+    if b <= 0.0:
+        # the density is even, so the gap over (a, b) is the gap over (-b, -a)
+        a, b = -b, -a
     if a >= _TAIL_SWITCH:
         # both deep in the right tail
         la = _log_upper(a)
         lb = _log_upper(b)
         return la + math.log(-math.expm1(lb - la))
-    if b <= -_TAIL_SWITCH:
-        # both deep in the left tail; reflect
-        lb = _log_upper(-b)
-        la = _log_upper(-a)
-        return lb + math.log(-math.expm1(la - lb))
     if a >= 0.0:
         return math.log(0.5 * (_erfc(0.5 * a) - _erfc_finite(b)))
-    if b <= 0.0:
-        return math.log(0.5 * (_erfc(0.5 * -b) - _erfc_finite(-a)))
     # a < 0 < b: two nonnegative halves, no cancellation
     missing = _upper(b) + _upper(-a)  # equals 1 - gap
     if missing < 0.5:

@@ -23,6 +23,7 @@ steps is accepted on a strict decrease of the gradient instead.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple, Optional, Sequence, Tuple
@@ -56,7 +57,7 @@ __all__ = [
 _ARMIJO_C = 1e-4
 _BACKTRACK = 0.5
 _DIVERGENCE_WINDOW = 10
-_EPS = float(np.finfo(float).eps)
+_EPS = sys.float_info.epsilon
 _FLAT_STEPS = 8
 
 

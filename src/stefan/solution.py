@@ -24,7 +24,7 @@ from typing import Tuple
 import numpy as np
 
 from . import kernel
-from .energy import FreeBoundaries, Fronts, ProblemSpec, _fronts
+from .energy import FreeBoundaries, Fronts, ProblemSpec, _fronts, _strips
 
 __all__ = [
     "Piece",
@@ -71,24 +71,19 @@ class SelfSimilarSolution:
 
 def assemble(spec: ProblemSpec, xi_star: Fronts) -> SelfSimilarSolution:
     fronts = _fronts(spec, xi_star)
-    ext = (-math.inf,) + fronts + (math.inf,)
-    pieces = []
-    for i in range(spec.n + 1):
-        lo = ext[i] / spec.a[i]
-        hi = ext[i + 1] / spec.a[i]
-        lg = kernel.log_gap(lo, hi)
-        du = spec.u[i + 1] - spec.u[i]
-        pieces.append(
-            Piece(
-                a=spec.a[i],
-                u_lo=spec.u[i],
-                u_hi=spec.u[i + 1],
-                cdf_lo=kernel.cdf(lo),
-                cdf_hi=kernel.cdf(hi),
-                scale=du * math.exp(-lg),
-            )
+    lo, hi, lg = _strips(spec.a, fronts)
+    pieces = tuple(
+        Piece(
+            a=spec.a[i],
+            u_lo=spec.u[i],
+            u_hi=spec.u[i + 1],
+            cdf_lo=kernel.cdf(lo[i]),
+            cdf_hi=kernel.cdf(hi[i]),
+            scale=(spec.u[i + 1] - spec.u[i]) * math.exp(-lg[i]),
         )
-    return SelfSimilarSolution(spec=spec, xi_star=fronts, pieces=tuple(pieces))
+        for i in range(spec.n + 1)
+    )
+    return SelfSimilarSolution(spec=spec, xi_star=fronts, pieces=pieces)
 
 
 def _piece_at(sol: SelfSimilarSolution, xi: float) -> Piece:
@@ -114,17 +109,23 @@ def evaluate_profile(sol: SelfSimilarSolution, xi: float) -> float:
     return p.u_hi + p.scale * (c - p.cdf_hi)
 
 
+def _slope(p: Piece, xi: float) -> float:
+    return p.scale * kernel.pdf(xi / p.a) / p.a
+
+
+def _curvature(p: Piece, xi: float) -> float:
+    z = xi / p.a
+    return -0.5 * z * kernel.pdf(z) * p.scale / (p.a * p.a)
+
+
 def profile_slope(sol: SelfSimilarSolution, xi: float) -> float:
     """dv/dxi, taken from the right at an interface."""
-    p = _piece_at(sol, xi)
-    return p.scale * kernel.pdf(xi / p.a) / p.a
+    return _slope(_piece_at(sol, xi), xi)
 
 
 def profile_curvature(sol: SelfSimilarSolution, xi: float) -> float:
     """d2v/dxi2, using the identity pdf'(z) = -z pdf(z) / 2."""
-    p = _piece_at(sol, xi)
-    z = xi / p.a
-    return -0.5 * z * kernel.pdf(z) * p.scale / (p.a * p.a)
+    return _curvature(_piece_at(sol, xi), xi)
 
 
 def evaluate_spacetime(sol: SelfSimilarSolution, t: float, x: float) -> float:
@@ -197,10 +198,7 @@ def validate(sol: SelfSimilarSolution, samples_per_phase: int) -> ResidualReport
         lo = fronts[i - 1] if i > 0 else fronts[0] - _END_WINDOW
         hi = fronts[i] if i < n else fronts[-1] + _END_WINDOW
         for t in _chebyshev(lo, hi, samples_per_phase):
-            z = t / p.a
-            vp = p.scale * kernel.pdf(z) / p.a
-            vpp = -0.5 * z * kernel.pdf(z) * p.scale / (p.a * p.a)
-            max_ode = max(max_ode, abs(p.a * p.a * vpp + 0.5 * t * vp))
+            max_ode = max(max_ode, abs(p.a * p.a * _curvature(p, t) + 0.5 * t * _slope(p, t)))
             count += 1
 
     max_jump = 0.0

@@ -1,7 +1,9 @@
 """End-to-end CLI behavior: config parsing, exit codes, report and CSV
 formats, and the dump round-trip."""
 import json
+import math
 
+import numpy as np
 import pytest
 
 from stefan import SolveOptions
@@ -72,6 +74,12 @@ class TestLoadConfig:
             (lambda c: c.update(solver=[1]), "solver"),
             (lambda c: c.update(solver={"bogus": 1}), "bogus"),
             (lambda c: c.update(solver={"grad_tol": -1.0}), "solver"),
+            (lambda c: c.update(temperatures=[-1.0, math.nan, 1.0]), "'temperatures'.*finite"),
+            (lambda c: c.update(diffusivities=[1.0, math.inf]), "'diffusivities'.*finite"),
+            (lambda c: c.update(conductivities=[-math.inf, 1.0]), "'conductivities'.*finite"),
+            (lambda c: c.update(stefan_numbers=[math.nan]), "'stefan_numbers'.*finite"),
+            (lambda c: c.update(temperatures=[-1.0, 0.0, 10**400]), "'temperatures'"),
+            (lambda c: c.update(solver={"max_iter": math.inf}), "max_iter"),
         ],
     )
     def test_rejects_bad_configs(self, tmp_path, mutate, fragment):
@@ -234,6 +242,17 @@ class TestProfile:
             x, xi, u = (float(v) for v in line.split(","))
             assert xi == x / 1.5
             assert u == evaluate_profile(sol, xi)
+        # the x column is numpy.linspace's, bit for bit, on uneven spacing too
+        for x_min, x_max, samples in ((-5.0, 5.0, 11), (-4.3, 3.1, 37), (0.1, 0.7, 1000)):
+            out = tmp_path / "linspace.csv"
+            code = main(
+                ["profile", write_config(tmp_path, ASYM),
+                 "--t", "2.25", "--x-min", repr(x_min), "--x-max", repr(x_max),
+                 "--samples", str(samples), "--out", str(out)]
+            )
+            assert code == 0
+            xs = [float(line.split(",")[0]) for line in out.read_text().splitlines()[1:]]
+            assert xs == np.linspace(x_min, x_max, samples).tolist()
 
     def test_rejects_bad_time(self, tmp_path, capsys):
         code, _ = self.run_profile(tmp_path, SYM_OK, 0.0)

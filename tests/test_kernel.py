@@ -52,6 +52,47 @@ ERFCX_CF_POINTS = [
     (1970162107.8384194, 2.8636708690270867e-10),
 ]
 
+# (a, b, log_gap(a, b)) frozen bit for bit from the implementation that
+# evaluated the left tail and the one-sided left band without reflecting:
+# both tails, the one-sided central band on either side, gaps straddling
+# zero, infinite ends, signed zeros, and widths from 1e-12 to 1
+LOG_GAP_BITS = [
+    (6.0, 9.0, -11.413519123061457),
+    (10.0, 11.0, -27.89883393159802),
+    (38.0, 40.0, -365.21133138080086),
+    (12.0, INF, -39.07070835378334),
+    (760000000.0, INF, -1.4440000000000003e+17),
+    (-9.0, -6.0, -11.413519123061457),
+    (-11.0, -10.0, -27.89883393159802),
+    (-40.0, -38.0, -365.21133138080086),
+    (-INF, -12.0, -39.07070835378334),
+    (0.5, 3.0, -1.0645315564009723),
+    (2.0, 5.9, -2.5429447190650274),
+    (-3.0, -0.5, -1.0645315564009723),
+    (-5.9, -2.0, -2.5429447190650274),
+    (0.3, INF, -0.8770651766981776),
+    (-INF, -2.0, -2.5427526904931934),
+    (-1.3, 0.4, -0.838482923691188),
+    (-0.1, 0.1, -2.875783091518404),
+    (-0.5, 0.5, -1.2861725388804222),
+    (-INF, 2.0, -0.08191486288187481),
+    (-3.0, INF, -0.017092677825984746),
+    (-INF, INF, -0.0),
+    (0.0, 1.0, -1.3461128062362766),
+    (-0.0, 1.0, -1.3461128062362766),
+    (-1.0, 0.0, -1.3461128062362766),
+    (-1.0, -0.0, -1.3461128062362766),
+    (0.0, INF, -0.6931471805599453),
+    (-INF, -0.0, -0.6931471805599453),
+    (0.5, 0.500000000001, -28.95900794333827),
+    (-0.500000000001, -0.5, -28.95900794333827),
+    (2.0, 2.001, -9.173767444112746),
+    (-3.0, -2.999999, -17.33102193133981),
+    (6.1, 6.10000001, -28.98869290174948),
+    (20.0, 20.000000001, -121.98877731942551),
+    (-20.000000001, -20.0, -121.98877731942551),
+]
+
 
 def test_cdf_exact_anchors():
     assert cdf(0.0) == 0.5
@@ -120,6 +161,16 @@ def test_log_pdf_consistent_with_pdf():
 def test_log_gap_frozen_values():
     for a, b, want in LOG_GAP_POINTS:
         assert log_gap(a, b) == pytest.approx(want, rel=1e-13)
+
+
+def test_log_gap_bits_are_unchanged():
+    for a, b, want in LOG_GAP_BITS:
+        assert log_gap(a, b).hex() == want.hex(), (a, b)
+
+
+def test_log_gap_mirror_is_exact():
+    for a, b, _ in LOG_GAP_BITS:
+        assert log_gap(-b, -a).hex() == log_gap(a, b).hex(), (a, b)
 
 
 def test_log_gap_full_line_is_zero():
