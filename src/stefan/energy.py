@@ -25,11 +25,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Tuple, Union
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Sequence, Tuple, Union
 
 from . import kernel
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "InvalidProblem",
@@ -297,6 +298,8 @@ def energy(spec: ProblemSpec, xi: Fronts) -> float:
 
 def gradient(spec: ProblemSpec, xi: Fronts) -> np.ndarray:
     """Energy gradient; its zeros are the interface flux balances."""
+    import numpy as np
+
     return np.array(_Point(spec, _fronts(spec, xi)).gradient())
 
 
@@ -327,6 +330,8 @@ def hessian_parts(spec: ProblemSpec, xi: Fronts) -> HessianParts:
 
 def hessian(spec: ProblemSpec, xi: Fronts) -> np.ndarray:
     """Dense symmetric tridiagonal Hessian of the energy."""
+    import numpy as np
+
     diag, off = _Point(spec, _fronts(spec, xi)).bands()
     h = np.diag(diag)
     for r, v in enumerate(off):

@@ -26,9 +26,7 @@ import math
 import sys
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence, Tuple
 
 from . import kernel
 from .energy import (
@@ -39,6 +37,9 @@ from .energy import (
     _Point,
     energy,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "SolveOptions",
@@ -210,6 +211,8 @@ def newton_step(
     (then p = 0) or g.p rounds to zero past that bound.  Raises
     NewtonBreakdown only when the Hessian is not finite.
     """
+    import numpy as np
+
     point = _Point(spec, _fronts(spec, xi))
     p, lam = _damped_step(point.gradient(), *point.bands(), damping_min)
     return np.array(p), lam
@@ -440,6 +443,8 @@ def grid_search(
     flagged when the winner touches the box boundary, which means the
     true minimizer may lie outside (or at -inf for non-coercive data).
     """
+    import numpy as np
+
     if len(box) != spec.n:
         raise ValueError(f"box must provide {spec.n} coordinate ranges")
     if points_per_axis < 2:

@@ -16,6 +16,7 @@ from stefan import (
     stefan_residuals,
     validate,
 )
+from stefan import solution
 
 from helpers import quad_cdf
 
@@ -165,6 +166,23 @@ class TestResiduals:
         from stefan.kernel import cdf, pdf
         want = pdf(0.5) / (1.0 - cdf(0.5)) - pdf(0.5) / cdf(0.5)
         assert r == pytest.approx(want, rel=1e-13)
+
+    @pytest.mark.parametrize(
+        "balances, want",
+        [
+            ([-3.0, 2.0], 3.0),
+            ([1.0, math.nan, 2.0], math.nan),
+            ([math.nan, 1.0], math.nan),
+            ([2.0, -math.inf], math.inf),
+        ],
+    )
+    def test_max_stefan_residual_as_numpy_max(self, monkeypatch, balances, want):
+        # validate takes max |r| in pure Python; NaN must win wherever it sits
+        monkeypatch.setattr(solution, "_flux_balances", lambda spec, fronts: balances)
+        got = validate(assemble(SYM, (0.0,)), 9).max_stefan_residual
+        assert type(got) is float
+        for expected in (want, float(np.max(np.abs(balances)))):
+            assert got == expected or (math.isnan(got) and math.isnan(expected))
 
     def test_validate_requires_enough_samples(self, solved_three):
         with pytest.raises(ValueError):
