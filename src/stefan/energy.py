@@ -105,6 +105,17 @@ class ProblemSpec:
             raise InvalidProblem("a: diffusivities must be positive")
         if any(v <= 0.0 for v in self.k):
             raise InvalidProblem("k: conductivities must be positive")
+        # Per strip i, with du_i = u_{i+1} - u_i: the energy weight
+        # k_i du_i, the flux weight k_i du_i / a_i and the curvature
+        # weight kappa(i) du_i, shared by every point's energy, gradient
+        # and Hessian.  Not a field, so eq, repr and replace ignore it.
+        du = [self.u[i + 1] - self.u[i] for i in range(n + 1)]
+        energy_w = tuple(self.k[i] * du[i] for i in range(n + 1))
+        object.__setattr__(self, "_strip_weights", (
+            energy_w,
+            tuple(energy_w[i] / self.a[i] for i in range(n + 1)),
+            tuple(self.kappa(i) * du[i] for i in range(n + 1)),
+        ))
 
     @property
     def n(self) -> int:
@@ -173,10 +184,10 @@ class _Point:
                  "_grad", "_bands")
 
     def __init__(self, spec: ProblemSpec, fronts: Sequence[float]):
-        u, k, d = spec.u, spec.k, spec.d
+        energy_w, d = spec._strip_weights[0], spec.d
         n = len(fronts)
         lo, hi, lg = _strips(spec.a, fronts)
-        terms = [-(k[i] * (u[i + 1] - u[i]) * lg[i]) for i in range(n + 1)]
+        terms = [-(energy_w[i] * lg[i]) for i in range(n + 1)]
         terms += [0.25 * d[i] * fronts[i] * fronts[i] for i in range(n)]
         self.spec = spec
         self.fronts = fronts
@@ -197,27 +208,24 @@ class _Point:
 
     def gradient(self) -> list:
         if self._grad is None:
-            spec = self.spec
-            a, u, k, d = spec.a, spec.u, spec.k, spec.d
+            flux_w, d = self.spec._strip_weights[1], self.spec.d
             r_lo, r_hi = self.ratios()
             x = self.fronts
             self._grad = [
-                0.5 * d[j] * x[j]
-                + k[j + 1] * (u[j + 2] - u[j + 1]) / a[j + 1] * r_lo[j + 1]
-                - k[j] * (u[j + 1] - u[j]) / a[j] * r_hi[j]
+                0.5 * d[j] * x[j] + flux_w[j + 1] * r_lo[j + 1] - flux_w[j] * r_hi[j]
                 for j in range(len(x))
             ]
         return self._grad
 
     def parts(self):
         """(beta_minus, beta_plus, gamma) as laid out in HessianParts."""
-        spec = self.spec
+        curvature_w = self.spec._strip_weights[2]
         n = len(self.fronts)
         r_lo, r_hi = self.ratios()
         lo, hi = self._lo, self._hi
         beta_minus, beta_plus, gamma = [], [], []
         for i in range(n + 1):
-            c = spec.kappa(i) * (spec.u[i + 1] - spec.u[i])
+            c = curvature_w[i]
             slope = r_hi[i] - r_lo[i]  # (pdf(hi) - pdf(lo)) / gap
             gamma.append(c * r_lo[i] * r_hi[i])
             if i >= 1:
@@ -265,8 +273,7 @@ class WellPosednessReport:
 
 def check_wellposedness(spec: ProblemSpec) -> WellPosednessReport:
     n = spec.n
-    du = [spec.u[i + 1] - spec.u[i] for i in range(n + 1)]
-    load = [spec.kappa(i) * du[i] for i in range(n + 1)]
+    load = spec._strip_weights[2]  # kappa_i (u_{i+1} - u_i)
 
     upper_terms = [load[i - 1] + spec.d[i - 1] for i in range(1, n + 1)]
     lower_terms = [load[i] + spec.d[i - 1] for i in range(1, n + 1)]

@@ -110,23 +110,21 @@ def evaluate_profile(sol: SelfSimilarSolution, xi: float) -> float:
     return p.u_hi + p.scale * (c - p.cdf_hi)
 
 
-def _slope(p: Piece, xi: float) -> float:
-    return p.scale * kernel.pdf(xi / p.a) / p.a
-
-
-def _curvature(p: Piece, xi: float) -> float:
+def _derivatives(p: Piece, xi: float) -> Tuple[float, float]:
+    """(v', v'') of piece p at xi, both from one pdf value."""
     z = xi / p.a
-    return -0.5 * z * kernel.pdf(z) * p.scale / (p.a * p.a)
+    density = kernel.pdf(z)
+    return p.scale * density / p.a, -0.5 * z * density * p.scale / (p.a * p.a)
 
 
 def profile_slope(sol: SelfSimilarSolution, xi: float) -> float:
     """dv/dxi, taken from the right at an interface."""
-    return _slope(_piece_at(sol, xi), xi)
+    return _derivatives(_piece_at(sol, xi), xi)[0]
 
 
 def profile_curvature(sol: SelfSimilarSolution, xi: float) -> float:
     """d2v/dxi2, using the identity pdf'(z) = -z pdf(z) / 2."""
-    return _curvature(_piece_at(sol, xi), xi)
+    return _derivatives(_piece_at(sol, xi), xi)[1]
 
 
 def evaluate_spacetime(sol: SelfSimilarSolution, t: float, x: float) -> float:
@@ -205,7 +203,8 @@ def validate(sol: SelfSimilarSolution, samples_per_phase: int) -> ResidualReport
         lo = fronts[i - 1] if i > 0 else fronts[0] - _END_WINDOW
         hi = fronts[i] if i < n else fronts[-1] + _END_WINDOW
         for t in _chebyshev(lo, hi, samples_per_phase):
-            max_ode = max(max_ode, abs(p.a * p.a * _curvature(p, t) + 0.5 * t * _slope(p, t)))
+            slope, curvature = _derivatives(p, t)
+            max_ode = max(max_ode, abs(p.a * p.a * curvature + 0.5 * t * slope))
             count += 1
 
     max_jump = 0.0

@@ -259,3 +259,20 @@ class TestWellPosedness:
                 rep = check_wellposedness(random_convex_spec(rng, n))
                 assert rep.strictly_convex_sufficient
                 assert rep.coercive
+
+
+def test_strip_weights_stay_out_of_the_dataclass_surface():
+    import dataclasses
+
+    spec = ProblemSpec(u=[0.0, 1.0, 3.0], a=[1.0, 2.0], k=[1.0, 1.0], d=[0.5])
+    assert [f.name for f in dataclasses.fields(spec)] == ["u", "a", "k", "d"]
+    assert dataclasses.asdict(spec) == {
+        "u": (0.0, 1.0, 3.0), "a": (1.0, 2.0), "k": (1.0, 1.0), "d": (0.5,)
+    }
+    assert repr(spec) == "ProblemSpec(u=(0.0, 1.0, 3.0), a=(1.0, 2.0), k=(1.0, 1.0), d=(0.5,))"
+    changed = dataclasses.replace(spec, k=(2.0, 1.0))
+    fresh = ProblemSpec(u=[0.0, 1.0, 3.0], a=[1.0, 2.0], k=[2.0, 1.0], d=[0.5])
+    assert changed == fresh and changed != spec
+    for xi in ([0.3], [-1.7]):
+        assert energy(changed, xi) == energy(fresh, xi) != energy(spec, xi)
+        assert list(gradient(changed, xi)) == list(gradient(fresh, xi))

@@ -235,3 +235,56 @@ def test_log_gap_far_right_tail():
         want = log_pdf(a) + math.log(2.0 / a)
         assert log_gap(a, INF) == pytest.approx(want, rel=1e-15)
         assert log_gap(-INF, -a) == log_gap(a, INF)
+
+
+def test_nan_arguments_are_rejected_with_their_messages():
+    nan = float("nan")
+    for fn, name in ((cdf, "cdf"), (pdf, "pdf"), (log_pdf, "log_pdf")):
+        with pytest.raises(ValueError, match=f"^{name}: argument must not be NaN$"):
+            fn(nan)
+    for a, b in [(nan, 1.0), (0.0, nan), (nan, nan), (nan, INF), (-INF, nan)]:
+        with pytest.raises(ValueError, match="^log_gap: arguments must not be NaN$"):
+            log_gap(a, b)
+    with pytest.raises(ValueError, match="^log_gap: requires a < b$"):
+        log_gap(1.0, 1.0)
+
+
+def test_infinite_arguments_of_pdf_and_log_pdf():
+    for x in (INF, -INF):
+        assert pdf(x) == 0.0
+        assert log_pdf(x) == -INF
+
+
+# (a, b) narrower than the kernel can resolve by differencing: the two
+# erfc values, erf halves or log-tails give a gap of zero or below
+SUB_ULP_STRIPS = [
+    (0.0, 5e-324),
+    (-0.0, 5e-324),
+    (1e-300, 2e-300),
+    (-5e-324, 5e-324),
+    (0.9296278057526717, 0.9296278057526718),
+    (7.595022163643221, 7.595022163643222),
+]
+
+
+def test_log_gap_of_sub_ulp_strips():
+    import mpmath
+
+    for a, b in SUB_ULP_STRIPS:
+        got = log_gap(a, b)
+        with mpmath.workdps(60):
+            half = mpmath.mpf(1) / 2
+            want = mpmath.log((mpmath.erf(b * half) - mpmath.erf(a * half)) * half)
+        assert got == pytest.approx(float(want), rel=1e-15, abs=0.0), (a, b)
+        assert log_gap(-b, -a).hex() == got.hex(), (a, b)
+
+
+def test_energy_and_minimize_accept_a_sub_ulp_strip():
+    from stefan import ProblemSpec, SolveStatus, energy, minimize
+
+    spec = ProblemSpec(u=[0, 1, 2, 3, 4], a=[1] * 4, k=[1] * 4, d=[0.5] * 3)
+    start = [-1.0, 0.0, 1e-17]
+    assert math.isfinite(energy(spec, start))
+    result = minimize(spec, start=start)
+    assert result.status is SolveStatus.CONVERGED
+    assert result.xi_star.xi == pytest.approx(minimize(spec).xi_star.xi, abs=1e-14)
