@@ -271,14 +271,48 @@ class WellPosednessReport:
     borderline: bool
 
 
+def _running_fsums(terms: Sequence[float], suffixes: bool = False) -> list:
+    """math.fsum of every prefix terms[:j+1] (or suffix terms[j:]), in one pass.
+
+    Carries Shewchuk's nonoverlapping partials from one sum to the next,
+    the same ones math.fsum builds, and rounds each sum by an fsum of the
+    few partials: both give the correctly rounded sum.  Terms whose
+    magnitudes add up to 2**1022 or more (or are not finite) could
+    overflow in one summation order and not in another, so each of their
+    sums goes to math.fsum itself, in the original order, for its own
+    result or exception.
+    """
+    n = len(terms)
+    if not sum(map(abs, terms)) < 2.0 ** 1022:
+        return [math.fsum(terms[j:] if suffixes else terms[:j + 1]) for j in range(n)]
+    fsum = math.fsum
+    partials: list = []
+    out = []
+    for j in (range(n - 1, -1, -1) if suffixes else range(n)):
+        x = terms[j]
+        i = 0
+        for y in partials:
+            # Knuth's two-sum: hi + lo == x + y exactly, in either order
+            hi = x + y
+            b = hi - x
+            lo = (x - (hi - b)) + (y - b)
+            if lo:
+                partials[i] = lo
+                i += 1
+            x = hi
+        partials[i:] = [x]
+        out.append(fsum(partials))
+    return out[::-1] if suffixes else out
+
+
 def check_wellposedness(spec: ProblemSpec) -> WellPosednessReport:
     n = spec.n
     load = spec._strip_weights[2]  # kappa_i (u_{i+1} - u_i)
 
     upper_terms = [load[i - 1] + spec.d[i - 1] for i in range(1, n + 1)]
     lower_terms = [load[i] + spec.d[i - 1] for i in range(1, n + 1)]
-    s_upper = tuple(math.fsum(upper_terms[:j]) for j in range(1, n + 1))
-    s_lower = tuple(math.fsum(lower_terms[j - 1:]) for j in range(1, n + 1))
+    s_upper = tuple(_running_fsums(upper_terms))
+    s_lower = tuple(_running_fsums(lower_terms, suffixes=True))
     margins = tuple(
         min(load[i], load[i - 1]) + 2.0 * spec.d[i - 1] for i in range(1, n + 1)
     )

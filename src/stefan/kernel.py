@@ -197,6 +197,85 @@ def _log_upper(x):
 
 
 # ---------------------------------------------------------------------------
+# Inverse of cdf.  cdf(xi) = Phi(xi / sqrt 2) for the standard normal
+# Phi, so cdf^-1(p) = sqrt(2) Phi^-1(p).  Phi^-1 is Wichura's AS241
+# (PPND16, Applied Statistics 37 (1988) 477-484): a rational function of
+# q = p - 1/2 in the centre and of sqrt(-log p) on two tail branches,
+# with no iteration.  Coefficients are written constant term first.
+# ---------------------------------------------------------------------------
+
+_SQRT_2 = math.sqrt(2.0)
+
+
+def _cdf_inverse(p):
+    """xi with cdf(xi) = p, for 0 <= p <= 1; -inf at 0, +inf at 1, 0.0 at 1/2.
+
+    p above 1/2 is reflected onto 1 - p, which is exact there, so the
+    result is odd about 1/2 bit for bit: _cdf_inverse(1 - p) equals
+    -_cdf_inverse(p) whenever 1 - p is exact.
+    """
+    sign = 1.0
+    if p > 0.5:
+        sign, p = -1.0, 1.0 - p
+    q = p - 0.5
+    if q >= -0.425:
+        r = 0.180625 - q * q
+        return sign * (_SQRT_2 * q * (3.3871328727963666080e0 + r * (
+            1.3314166789178437745e+2 + r * (
+            1.9715909503065514427e+3 + r * (
+            1.3731693765509461125e+4 + r * (
+            4.5921953931549871457e+4 + r * (
+            6.7265770927008700853e+4 + r * (
+            3.3430575583588128105e+4 + r * (
+            2.5090809287301226727e+3)))))))) / (1.0 + r * (
+            4.2313330701600911252e+1 + r * (
+            6.8718700749205790830e+2 + r * (
+            5.3941960214247511077e+3 + r * (
+            2.1213794301586595867e+4 + r * (
+            3.9307895800092710610e+4 + r * (
+            2.8729085735721942674e+4 + r * (
+            5.2264952788528545610e+3)))))))))
+    if p == 0.0:
+        return -sign * _INF
+    r = math.sqrt(-math.log(p))
+    if r <= 5.0:
+        r -= 1.6
+        tail = (1.42343711074968357734e0 + r * (
+            4.63033784615654529590e0 + r * (
+            5.76949722146069140550e0 + r * (
+            3.64784832476320460504e0 + r * (
+            1.27045825245236838258e0 + r * (
+            2.41780725177450611770e-1 + r * (
+            2.27238449892691845833e-2 + r * (
+            7.74545014278341407640e-4)))))))) / (1.0 + r * (
+            2.05319162663775882187e0 + r * (
+            1.67638483018380384940e0 + r * (
+            6.89767334985100004550e-1 + r * (
+            1.48103976427480074590e-1 + r * (
+            1.51986665636164571966e-2 + r * (
+            5.47593808499534494600e-4 + r * (
+            1.05075007164441684324e-9))))))))
+    else:
+        r -= 5.0
+        tail = (6.65790464350110377720e0 + r * (
+            5.46378491116411436990e0 + r * (
+            1.78482653991729133580e0 + r * (
+            2.96560571828504891230e-1 + r * (
+            2.65321895265761230930e-2 + r * (
+            1.24266094738807843860e-3 + r * (
+            2.71155556874348757815e-5 + r * (
+            2.01033439929228813265e-7)))))))) / (1.0 + r * (
+            5.99832206555887937690e-1 + r * (
+            1.36929880922735805310e-1 + r * (
+            1.48753612908506148525e-2 + r * (
+            7.86869131145613259100e-4 + r * (
+            1.84631831751005468180e-5 + r * (
+            1.42151175831644588870e-7 + r * (
+            2.04426310338993978564e-15))))))))
+    return -sign * (_SQRT_2 * tail)
+
+
+# ---------------------------------------------------------------------------
 # public surface
 # ---------------------------------------------------------------------------
 
@@ -254,8 +333,11 @@ def log_gap(a: float, b: float) -> float:
     if a >= _TAIL_SWITCH:
         # both deep in the right tail
         la = _log_upper(a)
+        if la == _NEG_INF:
+            # a past 2.7e154: the gap is below the smallest double's log
+            return la
         step = _log_upper(b) - la
-        if not step >= 0.0:  # a NaN step (a past 2.7e154, both logs -inf) stays here
+        if step < 0.0:
             return la + math.log(-math.expm1(step))
     elif a >= 0.0:
         half_gap = 0.5 * (_erfc(0.5 * a) - (0.0 if b == _INF else _erfc(0.5 * b)))

@@ -229,7 +229,27 @@ def _boundary_cap(x: Sequence[float], p: Sequence[float], fraction: float) -> fl
 
 
 def _default_start(spec: ProblemSpec) -> list:
+    """The fronts of the zero-latent-heat profile, with the mean diffusivity.
+
+    With d = 0 and a uniform diffusivity a the energy's minimizer is the
+    profile u_0 + (u_{n+1} - u_0) cdf(xi/a), whose fronts sit at
+    a cdf^-1(p_i) with p_i = (u_i - u_0) / (u_{n+1} - u_0).  Fronts past
+    the middle take the mirror of the upper share (u_{n+1} - u_i) /
+    (u_{n+1} - u_0), so a p_i near 1 loses nothing to rounding.  If these
+    are not finite and strictly increasing (p_1 underflows to 0, or two
+    far-tail quantiles round to one double), the fronts are spaced the
+    mean diffusivity apart around the origin instead.
+    """
     abar = sum(spec.a) / len(spec.a)
+    lo, hi = spec.u[0], spec.u[-1]
+    span = hi - lo
+    inverse = kernel._cdf_inverse
+    x = []
+    for u in spec.u[1:-1]:
+        p = (u - lo) / span
+        x.append(abar * inverse(p) if p <= 0.5 else -(abar * inverse((hi - u) / span)))
+    if _feasible(x):
+        return x
     n = spec.n
     return [(i - 0.5 * (n + 1)) * abar for i in range(1, n + 1)]
 
@@ -252,16 +272,17 @@ def minimize(
 ) -> SolveResult:
     """Minimize the interface energy by damped Newton with backtracking.
 
-    Starts from equispaced interfaces centered at the origin (spacing:
-    the mean diffusivity) unless an explicit feasible start is given;
-    the start is validated once and trial points are only checked for
-    being finite and strictly ordered.  Each point is evaluated in one
-    pass over its strips: line-search trials need the energy only, and
-    the accepted trial's strips give the gradient and the two bands of
-    the tridiagonal Hessian.  The Newton system is solved by an O(n)
-    LDL^T on those bands, damped as in ``newton_step``.  Accepted
-    iterates decrease the energy strictly and stay inside the
-    feasibility cone.  Termination:
+    Starts from the fronts of the zero-latent-heat profile (see
+    ``_default_start``: exact when d = 0 and a is uniform, equispaced
+    around the origin if those fronts do not resolve) unless an explicit
+    feasible start is given; the start is validated once and trial
+    points are only checked for being finite and strictly ordered.
+    Each point is evaluated in one pass over its strips: line-search
+    trials need the energy only, and the accepted trial's strips give
+    the gradient and the two bands of the tridiagonal Hessian.  The
+    Newton system is solved by an O(n) LDL^T on those bands, damped as
+    in ``newton_step``.  Accepted iterates decrease the energy strictly
+    and stay inside the feasibility cone.  Termination:
 
     Converged      max-norm of the gradient at or below opts.grad_tol and
                    a positive definite Hessian (all undamped LDL^T

@@ -35,6 +35,9 @@ ASYM = {
     "conductivities": [1.0, 1.0],
     "stefan_numbers": [0.0],
 }
+# ASYM with latent heat: the zero-latent-heat start is not its solution,
+# so the solve takes several Newton steps
+ASYM_LATENT = dict(ASYM, stefan_numbers=[0.5])
 
 
 def write_config(tmp_path, payload, name="cfg.json"):
@@ -173,7 +176,7 @@ class TestSolve:
         assert payload["xi_star"] is None
 
     def test_iteration_limit_exits_4(self, tmp_path, capsys):
-        code = main(["solve", write_config(tmp_path, ASYM), "--max-iter", "1"])
+        code = main(["solve", write_config(tmp_path, ASYM_LATENT), "--max-iter", "1"])
         payload = json.loads(capsys.readouterr().out)
         assert code == 4
         assert payload["status"] == "MaxIterations"

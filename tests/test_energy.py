@@ -252,6 +252,52 @@ class TestWellPosedness:
         assert rep.strictly_convex_sufficient
         assert rep.borderline
 
+    @staticmethod
+    def per_prefix_sums(spec):
+        # each partial sum by its own math.fsum, O(n^2)
+        n = spec.n
+        load = [spec.kappa(i) * (spec.u[i + 1] - spec.u[i]) for i in range(n + 1)]
+        upper = [load[i - 1] + spec.d[i - 1] for i in range(1, n + 1)]
+        lower = [load[i] + spec.d[i - 1] for i in range(1, n + 1)]
+        return (
+            [math.fsum(upper[:j]).hex() for j in range(1, n + 1)],
+            [math.fsum(lower[j - 1:]).hex() for j in range(1, n + 1)],
+        )
+
+    def test_running_sums_match_per_prefix_fsum(self):
+        specs = [
+            family(np.random.default_rng(seed), n)
+            for family in (random_convex_spec, random_coercive_spec)
+            for seed in range(3)
+            for n in (1, 50, 400)
+        ]
+        # upper terms in cancelling pairs +-x, -x + e over 16 decades, and
+        # conductivities over 16 decades, so the lower sums cancel too
+        rng = np.random.default_rng(41)
+        n = 60
+        u = np.concatenate(([0.0], np.cumsum(rng.uniform(0.5, 1.5, n + 1))))
+        k = 10.0 ** rng.uniform(-8.0, 8.0, n + 1)
+        x = 10.0 ** rng.uniform(-8.0, 8.0, n // 2)
+        t = np.ravel(np.column_stack((x, -x + 10.0 ** rng.uniform(-12.0, -4.0, n // 2))))
+        load = k * np.diff(u)
+        specs.append(ProblemSpec(u=u, a=np.ones(n + 1), k=k, d=t - load[:-1]))
+        # an infinite load (k / a^2 overflows), and sums at the edge of range
+        unit = dict(u=(0.0, 1.0, 2.0, 3.0), a=(1.0,) * 3, k=(1.0,) * 3)
+        specs.append(ProblemSpec(**dict(unit, a=(1e-10, 1.0, 1.0), k=(1e300, 1.0, 1.0)),
+                                 d=(1.0, 2.0)))
+        specs.append(ProblemSpec(**unit, d=(1e308, -1e308)))
+        for spec in specs:
+            rep = check_wellposedness(spec)
+            want_upper, want_lower = self.per_prefix_sums(spec)
+            assert [v.hex() for v in rep.S_upper] == want_upper
+            assert [v.hex() for v in rep.S_lower] == want_lower
+        # a sum that overflows raises as math.fsum does
+        overflowing = ProblemSpec(**unit, d=(1e308, 1e308))
+        with pytest.raises(OverflowError, match="intermediate overflow in fsum"):
+            self.per_prefix_sums(overflowing)
+        with pytest.raises(OverflowError, match="intermediate overflow in fsum"):
+            check_wellposedness(overflowing)
+
     def test_margin_condition_implies_coercive(self):
         rng = np.random.default_rng(31)
         for n in (1, 2, 3, 5):

@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from stefan.kernel import PDF_PEAK, _erfcx_cf, cdf, log_gap, log_pdf, pdf
+from stefan.kernel import PDF_PEAK, _cdf_inverse, _erfcx_cf, cdf, log_gap, log_pdf, pdf
 
 from helpers import quad_cdf
 
@@ -237,6 +237,12 @@ def test_log_gap_far_right_tail():
         assert log_gap(-INF, -a) == log_gap(a, INF)
 
 
+def test_log_gap_past_the_log_of_the_smallest_double():
+    # both log-tails are -inf past |a| = 2.7e154, and so is the gap
+    for a, b in ((3e154, INF), (1e200, 2e200), (-INF, -1e200)):
+        assert log_gap(a, b) == -INF, (a, b)
+
+
 def test_nan_arguments_are_rejected_with_their_messages():
     nan = float("nan")
     for fn, name in ((cdf, "cdf"), (pdf, "pdf"), (log_pdf, "log_pdf")):
@@ -288,3 +294,50 @@ def test_energy_and_minimize_accept_a_sub_ulp_strip():
     result = minimize(spec, start=start)
     assert result.status is SolveStatus.CONVERGED
     assert result.xi_star.xi == pytest.approx(minimize(spec).xi_star.xi, abs=1e-14)
+
+
+def _cdf_inverse_reference(p):
+    """cdf^-1(p) at 40 digits: Newton on log cdf, from the lower tail share."""
+    import mpmath
+
+    with mpmath.workdps(40):
+        pm = mpmath.mpf(p)
+        lower = pm <= 0.5
+        tail = pm if lower else 1 - pm  # exact, p is a double
+        target = mpmath.log(tail)
+        x = -abs(mpmath.mpf(_cdf_inverse(p)))
+        for _ in range(50):
+            c = mpmath.erfc(-x / 2) / 2
+            density = mpmath.exp(-x * x / 4) / mpmath.sqrt(4 * mpmath.pi)
+            step = (mpmath.log(c) - target) * c / density
+            x -= step
+            if abs(step) <= mpmath.mpf(10) ** -34 * (1 + abs(x)):
+                break
+        return float(x if lower else -x)
+
+
+def test_cdf_inverse_against_mpmath():
+    rng = np.random.default_rng(17)
+    lower = 10.0 ** rng.uniform(-300.0, math.log10(0.5), 150)
+    upper = 1.0 - 10.0 ** rng.uniform(-16.0, math.log10(0.5), 150)
+    # the ends of AS241's three branches: p = 0.075 and exp(-25)
+    edges = [1e-300, 1.3887943864964021e-11, 0.075, 0.07500000000000001, 0.3,
+             0.4999999999, 0.925, 1.0 - 1e-16]
+    for p in [*lower.tolist(), *upper.tolist(), *edges]:
+        want = _cdf_inverse_reference(p)
+        # measured worst case over 6000 such draws: 6.4e-16
+        assert abs(_cdf_inverse(p) - want) <= 1e-15 * abs(want), p
+
+
+def test_cdf_inverse_anchors_and_odd_symmetry():
+    assert _cdf_inverse(0.5) == 0.0 and math.copysign(1.0, _cdf_inverse(0.5)) == 1.0
+    assert _cdf_inverse(0.0) == -INF
+    assert _cdf_inverse(1.0) == INF
+    rng = np.random.default_rng(18)
+    # 1 - p is exact for p in [1/2, 1], so the mirror holds bit for bit
+    upper = [*rng.uniform(0.5, 1.0, 500), *(1.0 - 10.0 ** rng.uniform(-16.0, -1.0, 500))]
+    for p in map(float, upper):
+        assert _cdf_inverse(1.0 - p) == -_cdf_inverse(p), p
+    # it inverts cdf where cdf keeps its relative accuracy, left of 0
+    for x in rng.uniform(-30.0, 0.0, 200).tolist():
+        assert _cdf_inverse(cdf(x)) == pytest.approx(x, rel=1e-13, abs=1e-15)

@@ -22,7 +22,7 @@ from stefan import (
     stefan_residuals,
 )
 
-from stefan.optimize import _damped_step, _negative_curvature
+from stefan.optimize import _damped_step, _default_start, _negative_curvature
 
 from helpers import (
     random_coercive_spec,
@@ -248,7 +248,7 @@ class TestMinimize:
         assert len(calls) <= 2 * (n + 1) * res.iterations
 
     def test_max_iterations_is_honest(self):
-        res = minimize(ASYM, SolveOptions(max_iter=1))
+        res = minimize(THREE, SolveOptions(max_iter=1))
         assert res.status is SolveStatus.MAX_ITERATIONS
         assert res.xi_star is None
         assert res.grad_norm > 1e-12
@@ -258,6 +258,47 @@ class TestMinimize:
         assert res.status is SolveStatus.CONVERGED
         xi = res.xi_star.xi
         assert all(b > a for a, b in zip(xi, xi[1:]))
+
+
+class TestDefaultStart:
+    @pytest.mark.parametrize("u, a, k", [
+        ((-1.0, 0.25, 2.0), 0.8, 1.7),
+        ((-2.0, -1.1, -0.3, 0.4, 1.6, 2.2, 3.5), 1.3, 0.7),
+        # p_2 = 1 - 1.8e-11 rounds 3e-17 off, which would move its front by
+        # 3e-7; the upper share (u_3 - u_2) / (u_3 - u_0) keeps it exact
+        ((-3.0, 0.7, 2.4999999999, 2.5), 0.9, 1.1),
+    ])
+    def test_zero_latent_heat_is_solved_at_the_start(self, u, a, k):
+        import mpmath
+
+        n = len(u) - 2
+        spec = ProblemSpec(u=u, a=(a,) * (n + 1), k=(k,) * (n + 1), d=(0.0,) * n)
+        res = minimize(spec)
+        assert res.status is SolveStatus.CONVERGED
+        assert res.iterations == 0
+        with mpmath.workdps(40):
+            for ui, xi in zip(u[1:-1], res.xi_star.xi):
+                p = (mpmath.mpf(ui) - u[0]) / (mpmath.mpf(u[-1]) - u[0])
+                want = float(2 * a * mpmath.erfinv(2 * p - 1))
+                assert xi == pytest.approx(want, rel=2e-15, abs=1e-16)
+
+    def test_middle_temperature_starts_at_the_origin(self):
+        assert _default_start(SYM) == [0.0]
+        assert _default_start(SINK) == [0.0]
+
+    def test_unresolved_quantiles_fall_back_to_equispaced_fronts(self):
+        # p_1 = 5e-324 / 3 underflows to 0, so cdf^-1(p_1) = -inf
+        under = ProblemSpec(u=(0.0, 5e-324, 1.0, 3.0), a=(1.0, 1.0, 1.0),
+                            k=(1.0, 1.0, 1.0), d=(1.0, 0.5))
+        # p_1 and p_2 differ by 4e-15 relative, and so their far-tail
+        # quantiles round to one double
+        tied = ProblemSpec(u=(0.0, 1e-20, 1.000000000000004e-20, 3.0),
+                           a=(1.0, 1.0, 1.0), k=(1.0, 1e35, 1.0), d=(1.0, 1.0))
+        for spec in (under, tied):
+            assert _default_start(spec) == [-0.5, 0.5]
+            res = minimize(spec)
+            assert res.status is SolveStatus.CONVERGED
+            assert res.grad_norm <= 1e-12
 
 
 class TestRayPoint:

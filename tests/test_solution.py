@@ -184,6 +184,32 @@ class TestResiduals:
         for expected in (want, float(np.max(np.abs(balances)))):
             assert got == expected or (math.isnan(got) and math.isnan(expected))
 
+    def test_ode_residual_matches_per_sample_derivatives(self):
+        # validate shares one set of cosines and inlines v', v''; the
+        # phase-by-phase loop over _derivatives must give the same bits
+        from helpers import random_coercive_spec, random_convex_spec
+
+        def ode_residual(sol, m):
+            fronts, n, worst = sol.xi_star, len(sol.xi_star), 0.0
+            for i, p in enumerate(sol.pieces):
+                lo = fronts[i - 1] if i > 0 else fronts[0] - 10.0
+                hi = fronts[i] if i < n else fronts[-1] + 10.0
+                mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+                for j in range(1, m + 1):
+                    t = mid + half * math.cos((2 * j - 1) * math.pi / (2 * m))
+                    slope, curvature = solution._derivatives(p, t)
+                    worst = max(worst, abs(p.a * p.a * curvature + 0.5 * t * slope))
+            return worst
+
+        for seed in range(6):
+            family = (random_convex_spec, random_coercive_spec)[seed % 2]
+            spec = family(np.random.default_rng(seed), (1, 4, 20)[seed % 3])
+            sol = assemble(spec, minimize(spec).xi_star)
+            for m in (3, 9, 33):
+                report = validate(sol, m)
+                assert report.max_ode_residual.hex() == ode_residual(sol, m).hex()
+                assert report.samples == m * (spec.n + 1)
+
     def test_validate_requires_enough_samples(self, solved_three):
         with pytest.raises(ValueError):
             validate(solved_three, 2)
