@@ -134,14 +134,25 @@ def evaluate_spacetime(sol: SelfSimilarSolution, t: float, x: float) -> float:
     return evaluate_profile(sol, x / math.sqrt(t))
 
 
+def _cdf_gap(lo: float, hi: float) -> float:
+    """cdf(hi) - cdf(lo), differencing upper tails when lo >= 0.
+
+    By symmetry cdf(hi) - cdf(lo) = cdf(-lo) - cdf(-hi), whose terms keep
+    their precision where cdf(lo) and cdf(hi) both round to 1.
+    """
+    if lo >= 0.0:
+        return kernel.cdf(-lo) - kernel.cdf(-hi)
+    return kernel.cdf(hi) - kernel.cdf(lo)
+
+
 def _flux_balances(spec: ProblemSpec, fronts: Tuple[float, ...]) -> list:
     """The literal flux balances behind ``stefan_residuals``, as a list."""
     ext = (-math.inf,) + fronts + (math.inf,)
     out = []
     for j in range(1, spec.n + 1):
         a_r, a_l = spec.a[j], spec.a[j - 1]
-        gap_r = kernel.cdf(ext[j + 1] / a_r) - kernel.cdf(ext[j] / a_r)
-        gap_l = kernel.cdf(ext[j] / a_l) - kernel.cdf(ext[j - 1] / a_l)
+        gap_r = _cdf_gap(ext[j] / a_r, ext[j + 1] / a_r)
+        gap_l = _cdf_gap(ext[j - 1] / a_l, ext[j] / a_l)
         du_r = spec.u[j + 1] - spec.u[j]
         du_l = spec.u[j] - spec.u[j - 1]
         out.append(

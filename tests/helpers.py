@@ -12,7 +12,8 @@ import math
 import numpy as np
 from scipy.integrate import quad
 
-from stefan import ProblemSpec, energy, gradient
+from stefan import NewtonBreakdown, ProblemSpec, energy, gradient
+from stefan.optimize import _dot, _ldl, _ldl_solve, _positive
 
 
 def quad_cdf(x: float) -> float:
@@ -122,3 +123,33 @@ def random_fronts(rng: np.random.Generator, n: int) -> tuple:
     xi = np.cumsum(gaps)
     xi = xi - xi.mean() + rng.uniform(-0.4, 0.4)
     return tuple(float(v) for v in xi)
+
+
+def damped_step(g, diag, off, damping_min):
+    """Reference damping schedule: walk lam = 0, damping_min, 2*damping_min, ...
+
+    Returns (p, lam) at the first lam whose pivots are all positive and
+    whose direction descends (or g = 0, or lam is past the Gershgorin
+    bound).  One LDL^T per value, so about log2(lam / damping_min)
+    factorizations; the solver bisects over the same schedule instead.
+    """
+    n = len(diag)
+    if not (all(map(math.isfinite, diag)) and all(map(math.isfinite, off))):
+        raise NewtonBreakdown("Hessian is not finite")
+    shift = max(
+        (abs(off[i - 1]) if i > 0 else 0.0)
+        + (abs(off[i]) if i < n - 1 else 0.0)
+        - diag[i]
+        for i in range(n)
+    )
+    bound = max(shift, 0.0)
+    lam = 0.0
+    while True:
+        piv, l = _ldl(diag, off, lam)
+        if _positive(piv, n):
+            p = _ldl_solve(piv, l, g)
+            if _dot(g, p) < 0.0 or not any(g) or lam > bound:
+                return p, lam
+        lam = damping_min if lam == 0.0 else 2.0 * lam
+        if lam == math.inf:
+            raise NewtonBreakdown("damping overflowed without a usable direction")

@@ -22,9 +22,11 @@ from stefan import (
     stefan_residuals,
 )
 
+import stefan.optimize
 from stefan.optimize import _damped_step, _default_start, _negative_curvature
 
 from helpers import (
+    damped_step,
     random_coercive_spec,
     random_convex_spec,
     random_fronts,
@@ -151,6 +153,130 @@ class TestNewtonStep:
                 _damped_step(g, diag, off, 1e-12)
 
 
+def _indefinite_bands(rng, n, need):
+    """Random tridiagonal bands whose lowest eigenvalue is -need."""
+    diag = rng.normal(size=n)
+    off = rng.normal(size=n - 1)
+    lowest = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))[0]
+    return [float(v) for v in diag - lowest - need], [float(v) for v in off]
+
+
+def _same_step(got, want):
+    return [v.hex() for v in got[0]] == [v.hex() for v in want[0]] and (
+        got[1].hex() == want[1].hex()
+    )
+
+
+def _least_k_past_bound(diag, off, damping_min):
+    n = len(diag)
+    shift = max(
+        (abs(off[i - 1]) if i > 0 else 0.0)
+        + (abs(off[i]) if i < n - 1 else 0.0)
+        - diag[i]
+        for i in range(n)
+    )
+    k, lam = 0, damping_min
+    while not lam > shift:
+        k, lam = k + 1, 2.0 * lam
+    return k
+
+
+# (g, diag, off, damping_min): zero gradients, lambdas ending exactly
+# at, just past and just short of the Gershgorin bound, the wildly
+# indefinite case and other damping_min values
+_SCHEDULE_EDGES = [
+    ([0.0, 0.0, 0.0], [-1.0, 2.0, -3.0], [0.5, 0.5], 1e-12),
+    ([0.0], [-7.0], [], 1e-12),
+    ([0.0, 0.0], [2.0, 2.0], [1.0], 1e-12),
+    ([1.0], [-1e-12 * 2.0**30], [], 1e-12),
+    ([1.0], [math.nextafter(-1e-12 * 2.0**30, 0.0)], [], 1e-12),
+    ([1.0], [math.nextafter(-1e-12 * 2.0**30, -1.0)], [], 1e-12),
+    ([1.0, -2.0, 0.5], [-4.0, -4.0, -4.0], [0.0, 0.0], 1e-12),
+    ([1.0, -1.0], [-1.9e15, 1.0], [3.0], 1e-12),
+    ([1.0, 1.0], [-1.0, 1.0], [0.5], 5e-324),
+    ([1.0, 1.0], [-1.0, 1.0], [0.5], 1.0),
+    ([1.0, 1.0], [-1.0, 1.0], [0.5], 3e300),
+    ([-1.0], [1e-3], [], 1e-12),
+    # p underflows to zero, so only lam > bound makes the step usable
+    ([5e-324], [-1e300], [], 1e-12),
+    # -d_k / |v|^2 rounds up past lam = 1e-12, which the walk accepts
+    (
+        [1.0, 1.0, 1.0],
+        [
+            float.fromhex("0x1.e9b3d62d0eb64p+0"),
+            float.fromhex("0x1.3fa8e58d4b0c2p+0"),
+            float.fromhex("0x1.a67ffa69bd205p+0"),
+        ],
+        [float.fromhex("-0x1.8b514177b18cbp+0"), float.fromhex("-0x1.e1697b9431fbbp-5")],
+        math.ldexp(1e-12, -60),
+    ),
+]
+
+
+class TestDampingSchedule:
+    def test_bisection_matches_the_walk(self):
+        rng = np.random.default_rng(71)
+        lams = []
+        for n in range(1, 51):
+            for trial in range(4):
+                need = 10.0 ** rng.uniform(-12.0, 6.0)
+                diag, off = _indefinite_bands(rng, n, need)
+                g = [0.0] * n if trial == 3 else [float(v) for v in rng.normal(size=n)]
+                want = damped_step(g, diag, off, 1e-12)
+                assert _same_step(_damped_step(g, diag, off, 1e-12), want), (n, need)
+                lams.append(want[1])
+        assert min(lams) < 1e-9 and max(lams) > 1e5
+
+    @pytest.mark.parametrize("g, diag, off, damping_min", _SCHEDULE_EDGES)
+    def test_edge_cases_match_the_walk(self, g, diag, off, damping_min):
+        want = damped_step(g, diag, off, damping_min)
+        assert _same_step(_damped_step(g, diag, off, damping_min), want)
+
+    def test_overflowing_bound_breaks_down_like_the_walk(self):
+        # the Gershgorin shift overflows and no finite damping helps
+        args = ([1.0, 1.0], [-1e308, -1e308], [1e308], 1e-12)
+        with pytest.raises(NewtonBreakdown):
+            damped_step(*args)
+        with pytest.raises(NewtonBreakdown):
+            _damped_step(*args)
+
+    def test_newton_step_matches_the_walk(self):
+        rng = np.random.default_rng(73)
+        damped = 0
+        for trial in range(60):
+            n = 1 + trial % 8
+            spec = random_noncoercive_spec(rng, n)
+            xi = random_fronts(rng, n)
+            h = hessian(spec, xi)
+            g = [float(v) for v in gradient(spec, xi)]
+            want = damped_step(g, list(np.diag(h)), list(np.diag(h, 1)), 1e-12)
+            p, lam = newton_step(spec, xi)
+            assert _same_step((list(p), lam), want)
+            damped += lam > 0.0
+        assert damped >= 10
+
+    def test_factorizations_per_damped_step(self, monkeypatch):
+        calls = []
+        ldl = stefan.optimize._ldl
+
+        def counted(diag, off, lam):
+            calls.append(lam)
+            return ldl(diag, off, lam)
+
+        monkeypatch.setattr(stefan.optimize, "_ldl", counted)
+        rng = np.random.default_rng(79)
+        for n in (1, 2, 8, 50):
+            for _ in range(10):
+                need = 10.0 ** rng.uniform(-12.0, 6.0)
+                diag, off = _indefinite_bands(rng, n, need)
+                g = [float(v) for v in rng.normal(size=n)]
+                del calls[:]
+                _, lam = _damped_step(g, diag, off, 1e-12)
+                assert lam > 0.0
+                k_max = _least_k_past_bound(diag, off, 1e-12)
+                assert len(calls) <= math.ceil(math.log2(k_max + 1)) + 2
+
+
 class TestMinimize:
     def test_symmetric_converges_at_origin(self):
         res = minimize(SYM)
@@ -246,6 +372,25 @@ class TestMinimize:
         assert res.status is SolveStatus.CONVERGED
         assert res.iterations >= 5
         assert len(calls) <= 2 * (n + 1) * res.iterations
+
+    def test_certified_minimum_is_factored_once(self, monkeypatch):
+        calls = []
+        real = stefan.optimize._negative_curvature
+
+        def counting(diag, off):
+            calls.append(1)
+            return real(diag, off)
+
+        monkeypatch.setattr(stefan.optimize, "_negative_curvature", counting)
+        res = minimize(THREE)
+        assert res.status is SolveStatus.CONVERGED
+        assert len(calls) == 1
+        # with the last step on the final iteration, the check after the
+        # loop certifies the same point
+        del calls[:]
+        last = minimize(THREE, SolveOptions(max_iter=res.iterations))
+        assert last == res
+        assert len(calls) == 1
 
     def test_max_iterations_is_honest(self):
         res = minimize(THREE, SolveOptions(max_iter=1))

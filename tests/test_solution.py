@@ -167,6 +167,25 @@ class TestResiduals:
         want = pdf(0.5) / (1.0 - cdf(0.5)) - pdf(0.5) / cdf(0.5)
         assert r == pytest.approx(want, rel=1e-13)
 
+    @pytest.mark.parametrize("xi", [12.0, 40.0, -12.0, -40.0])
+    def test_flux_balance_in_the_kernel_tails(self, xi):
+        # past xi/a of about 12 both cdf values of the right phase round
+        # to 1, so the gap is taken from the upper tails instead
+        mp = pytest.importorskip("mpmath")
+        spec = ProblemSpec(u=(-1.0, 0.0, 1.0), a=(1.0, 1.0), k=(1.0, 1.0), d=(0.3,))
+        with mp.workdps(50):
+            x = mp.mpf(xi)
+            density = mp.exp(-x * x / 4) / (2 * mp.sqrt(mp.pi))
+            want = float(
+                mp.mpf("0.15") * x
+                + density / (mp.erfc(x / 2) / 2)
+                - density / (mp.erfc(-x / 2) / 2)
+            )
+        (r,) = stefan_residuals(spec, (xi,))
+        assert r == pytest.approx(want, rel=1e-14)
+        report = validate(assemble(spec, (xi,)), 9)
+        assert report.max_stefan_residual == abs(r)
+
     @pytest.mark.parametrize(
         "balances, want",
         [
