@@ -4,11 +4,13 @@ reference solvers used to cross-check it.
 The energy is smooth on the open cone of increasing interface
 positions and blows up (+inf) whenever two interfaces touch, so a line
 search that never steps more than a fixed fraction of the way to the
-cone boundary keeps every iterate feasible.  When the coercivity
-criterion fails the infimum is -inf along explicit escape rays;
-``minimize`` detects that regime by watching for iterates that leave a
-large box while the energy is still falling, and reports Diverged
-instead of grinding to max_iter.
+cone boundary keeps every iterate feasible.  The energy has a
+minimizer exactly when it is coercive; when the coercivity criterion
+fails the infimum is -inf along explicit escape rays.  ``minimize``
+ends such a solve as Diverged at the first iterate that leaves a large
+box, once ``check_wellposedness`` confirms the data are not coercive,
+instead of grinding to max_iter.  On coercive data leaving the box ends
+nothing.
 
 The Hessian is tridiagonal, so each Newton step costs one pass over
 the strips (``energy._Point``) and an O(n) LDL^T on its two bands,
@@ -35,6 +37,7 @@ from .energy import (
     ProblemSpec,
     _fronts,
     _Point,
+    check_wellposedness,
     energy,
 )
 
@@ -57,7 +60,6 @@ __all__ = [
 
 _ARMIJO_C = 1e-4
 _BACKTRACK = 0.5
-_DIVERGENCE_WINDOW = 10
 _EPS = sys.float_info.epsilon
 _FLAT_STEPS = 8
 
@@ -306,9 +308,9 @@ def _default_start(spec: ProblemSpec) -> list:
     a cdf^-1(p_i) with p_i = (u_i - u_0) / (u_{n+1} - u_0).  Fronts past
     the middle take the mirror of the upper share (u_{n+1} - u_i) /
     (u_{n+1} - u_0), so a p_i near 1 loses nothing to rounding.  If these
-    are not finite and strictly increasing (p_1 underflows to 0, or two
-    far-tail quantiles round to one double), the fronts are spaced the
-    mean diffusivity apart around the origin instead.
+    are not feasible (p_1 underflows to 0, or two far-tail quantiles
+    round to one double), the fronts are spaced the mean diffusivity
+    apart around the origin instead.
     """
     abar = sum(spec.a) / len(spec.a)
     lo, hi = spec.u[0], spec.u[-1]
@@ -318,16 +320,21 @@ def _default_start(spec: ProblemSpec) -> list:
     for u in spec.u[1:-1]:
         p = (u - lo) / span
         x.append(abar * inverse(p) if p <= 0.5 else -(abar * inverse((hi - u) / span)))
-    if _feasible(x):
+    if _feasible(x, spec.a):
         return x
     n = spec.n
     return [(i - 0.5 * (n + 1)) * abar for i in range(1, n + 1)]
 
 
-def _feasible(x: Sequence[float]) -> bool:
-    """Finite and strictly increasing."""
+def _feasible(x: Sequence[float], a: Sequence[float]) -> bool:
+    """Finite, and strictly increasing once each strip is scaled.
+
+    The strip between x[i] and x[i + 1] spans x[i]/a[i+1] to
+    x[i+1]/a[i+1].  Far out, two distinct fronts can round to one scaled
+    value, where the energy is as undefined as at touching fronts.
+    """
     return all(map(math.isfinite, x)) and all(
-        x[i] < x[i + 1] for i in range(len(x) - 1)
+        x[i] / a[i + 1] < x[i + 1] / a[i + 1] for i in range(len(x) - 1)
     )
 
 
@@ -357,9 +364,9 @@ def minimize(
     Converged      max-norm of the gradient at or below opts.grad_tol and
                    a positive definite Hessian (all undamped LDL^T
                    pivots positive)
-    Diverged       an iterate left [-xi_max, xi_max] while the energy was
-                   still falling over the trailing window; happens when
-                   the coercivity criterion fails
+    Diverged       the data fail the coercivity criterion and an
+                   iterate left [-xi_max, xi_max]; decided at the first
+                   such iterate, by one call to ``check_wellposedness``
     MaxIterations  neither of the above within opts.max_iter steps, or
                    no further certifiable progress
 
@@ -375,6 +382,10 @@ def minimize(
     the energy by at most a few representable steps and gets no trace
     record of its own (it still counts as an iteration), so trace
     energies are strictly decreasing by construction.
+
+    opts.xi_max only matters on data that are not coercive.  Coercive
+    data have a minimizer, so an iterate outside the box keeps going and
+    the solve ends Converged or MaxIterations, never Diverged.
     """
     opts = SolveOptions() if opts is None else opts
     if start is None:
@@ -390,6 +401,7 @@ def minimize(
     iterations = 0
     flat_left = _FLAT_STEPS
     certified = False
+    coercive = None  # decided at the first escape, if there is one
 
     for it in range(1, opts.max_iter + 1):
         if gn <= opts.grad_tol:
@@ -409,7 +421,7 @@ def minimize(
         accepted = flat = False
         while alpha > 1e-20:
             xt = [xi + alpha * pi for xi, pi in zip(x, p)]
-            if xt != x and _feasible(xt):
+            if xt != x and _feasible(xt, spec.a):
                 trial = _Point(spec, xt)
                 ft = trial.energy
                 # below the last recorded energy too, after flat steps
@@ -434,16 +446,13 @@ def minimize(
             continue
         trace.append(IterationRecord(it, f, gn))
 
-        escaped = max(abs(v) for v in x) > opts.xi_max
-        window_ok = len(trace) > _DIVERGENCE_WINDOW
-        if (
-            escaped
-            and window_ok
-            and trace[-1].energy < trace[-1 - _DIVERGENCE_WINDOW].energy
-        ):
-            return SolveResult(
-                SolveStatus.DIVERGED, None, f, gn, iterations, tuple(trace)
-            )
+        if max(abs(v) for v in x) > opts.xi_max:
+            if coercive is None:
+                coercive = check_wellposedness(spec).coercive
+            if not coercive:
+                return SolveResult(
+                    SolveStatus.DIVERGED, None, f, gn, iterations, tuple(trace)
+                )
     else:
         # max_iter used up: the last iterate is not yet certified
         certified = gn <= opts.grad_tol and _negative_curvature(*point.bands()) is None

@@ -331,6 +331,8 @@ class TestMinimize:
         res = minimize(SINK2)
         assert res.status is SolveStatus.DIVERGED
         assert res.xi_star is None
+        # ends at the first iterate past xi_max (the third, here)
+        assert res.iterations < 10
 
     def test_saddle_is_not_certified(self):
         # the origin is stationary for SINK but the curvature there is
@@ -346,6 +348,48 @@ class TestMinimize:
         spec = random_noncoercive_spec(np.random.default_rng(seed), n)
         res = minimize(spec)
         assert res.status is SolveStatus.DIVERGED
+        assert res.iterations < 10
+
+    def test_coercivity_is_tested_once_and_only_on_escape(self, monkeypatch):
+        calls = []
+        real = stefan.optimize.check_wellposedness
+
+        def counting(spec):
+            calls.append(spec)
+            return real(spec)
+
+        monkeypatch.setattr(stefan.optimize, "check_wellposedness", counting)
+        for spec in (THREE, random_convex_spec(np.random.default_rng(3), 50)):
+            assert minimize(spec).status is SolveStatus.CONVERGED
+        assert calls == []
+        assert minimize(SINK2).status is SolveStatus.DIVERGED
+        assert calls == [SINK2]
+        # a coercive solve outside the box asks once, however many
+        # iterates it spends there
+        del calls[:]
+        res = minimize(THREE, SolveOptions(xi_max=1.0), start=ray_point(THREE, 3, 1e4))
+        assert res.iterations >= 10
+        assert calls == [THREE]
+
+    @pytest.mark.parametrize("r", [2, 3])
+    def test_coercive_escape_is_not_diverged(self, r):
+        # every early iterate lies outside the small box, but coercive
+        # data have a minimizer, so the solve must go on and find it
+        assert check_wellposedness(THREE).coercive
+        start = ray_point(THREE, r, 1e4)
+        res = minimize(THREE, SolveOptions(xi_max=1.0), start=start)
+        assert res.status is SolveStatus.CONVERGED
+        want = minimize(THREE).xi_star.xi
+        assert res.xi_star.xi == pytest.approx(want, abs=1e-10)
+
+    def test_far_start_with_unresolved_strips_does_not_raise(self):
+        # far out, distinct fronts can round to one scaled value (here
+        # x/0.8 at 1e6); such trials are infeasible, not a log_gap error
+        x = (1e6, math.nextafter(1e6, math.inf))
+        assert x[0] / 0.8 == x[1] / 0.8
+        assert not stefan.optimize._feasible(x, (1.0, 0.8, 1.0))
+        res = minimize(THREE, SolveOptions(xi_max=1.0), start=ray_point(THREE, 2, 1e6))
+        assert res.status is not SolveStatus.DIVERGED
 
     def test_noncoercive_data_can_have_a_local_minimum(self):
         # coercivity guarantees a minimizer; without it the solver may
