@@ -17,8 +17,14 @@ with xi_0 = -inf and xi_{n+1} = +inf.  Its stationary points are
 exactly the interface flux-balance conditions, so the solver reduces
 to minimizing E.  All flux ratios are evaluated as
 exp(log_pdf - log_gap) so the formulas survive interfaces parked far
-out in the kernel tails.  The energy, the gradient and the tridiagonal
-Hessian of a point all come from one pass over its n+1 strips.
+out in the kernel tails.
+
+A point is evaluated in two passes over its n+1 strips (``_Point``).
+The first scales each strip's ends, checks that they are strictly
+ordered (the feasibility test of every point the solver evaluates) and
+takes the strip's log gap and energy term.  The second, run only when a
+derivative is asked for, gives the gradient, its max-norm and both
+bands of the tridiagonal Hessian together.
 """
 
 from __future__ import annotations
@@ -56,7 +62,8 @@ class InvalidProblem(ValueError):
 
 
 class InfeasiblePoint(ValueError):
-    """Interface coordinates are not finite and strictly increasing."""
+    """Interface coordinates are not finite and strictly increasing, or two
+    distinct ones round to one value once scaled by a diffusivity."""
 
 
 def _as_float_tuple(name: str, values: Iterable[float]) -> Tuple[float, ...]:
@@ -135,7 +142,7 @@ class FreeBoundaries:
     def __post_init__(self):
         try:
             vals = tuple(float(v) for v in self.xi)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise InfeasiblePoint("xi: expected a sequence of numbers") from exc
         if len(vals) < 1:
             raise InfeasiblePoint("xi: need at least one coordinate")
@@ -162,90 +169,129 @@ def _fronts(spec: ProblemSpec, xi: Fronts) -> Tuple[float, ...]:
     return vals
 
 
-def _strips(a: Sequence[float], fronts: Sequence[float]):
-    """(lo, hi, log_gap) of the n+1 strips; strip i spans xi_i/a_i to xi_{i+1}/a_i."""
-    n = len(fronts)
-    lo = [-math.inf] + [fronts[i] / a[i + 1] for i in range(n)]
-    hi = [fronts[i] / a[i] for i in range(n)] + [math.inf]
-    log_gap = kernel.log_gap
-    return lo, hi, [log_gap(lo[i], hi[i]) for i in range(n + 1)]
-
-
 class _Point:
-    """Energy at one point from a single pass over the n+1 strips.
+    """The energy of one point, and on request its derivatives, in two
+    passes over the n+1 strips.
 
-    Validates nothing: ``fronts`` must be n finite, strictly increasing
-    floats.  The energy is summed with ``math.fsum`` on construction; the
-    gradient and the Hessian are formed on request from the same strips
-    and the same pdf/gap ratios; ratios, gradient and bands are cached.
+    Construction is the first pass.  Per strip it scales the ends
+    (strip i spans xi_i/a_i to xi_{i+1}/a_i), checks that they are
+    strictly ordered, takes ``kernel.log_gap`` and forms the energy
+    term; the terms are summed with ``math.fsum``.  The ordering test is
+    the whole feasibility test: it fails on fronts that are not finite,
+    not strictly increasing, or distinct but rounded to one scaled value
+    far out, and raises InfeasiblePoint before that strip's log_gap.
+
+    The first call to ``gradient``, ``grad_norm`` or ``bands`` makes the
+    second pass, which forms each strip's pdf/gap ratios and from them
+    the gradient, its max-norm and the two Hessian bands together, and
+    caches them.  ``parts`` runs the same pass and records each strip's
+    HessianParts entries as well, so the Hessian formulas live in that
+    one loop.
     """
 
-    __slots__ = ("spec", "fronts", "energy", "_lo", "_hi", "_lg", "_ratios",
-                 "_grad", "_bands")
+    __slots__ = ("spec", "fronts", "energy", "lo", "hi", "lg", "_grad", "_gnorm",
+                 "_bands")
 
     def __init__(self, spec: ProblemSpec, fronts: Sequence[float]):
-        energy_w, d = spec._strip_weights[0], spec.d
+        a, d = spec.a, spec.d
+        energy_w = spec._strip_weights[0]
+        log_gap = kernel.log_gap
         n = len(fronts)
-        lo, hi, lg = _strips(spec.a, fronts)
-        terms = [-(energy_w[i] * lg[i]) for i in range(n + 1)]
-        terms += [0.25 * d[i] * fronts[i] * fronts[i] for i in range(n)]
+        lo = [-math.inf] * (n + 1)
+        hi = [math.inf] * (n + 1)
+        lg = [0.0] * (n + 1)
+        # the n+1 strip terms, then the n quadratic ones
+        terms = [0.0] * (2 * n + 1)
+        b = -math.inf  # lower end of strip i
+        for i in range(n):
+            x = fronts[i]
+            t = hi[i] = x / a[i]
+            if not b < t:
+                raise InfeasiblePoint(f"xi: strip {i} is empty once scaled")
+            g = lg[i] = log_gap(b, t)
+            terms[i] = -(energy_w[i] * g)
+            terms[n + 1 + i] = 0.25 * d[i] * x * x
+            b = lo[i + 1] = x / a[i + 1]
+        if not b < math.inf:
+            raise InfeasiblePoint(f"xi: strip {n} is empty once scaled")
+        g = lg[n] = log_gap(b, math.inf)
+        terms[n] = -(energy_w[n] * g)
         self.spec = spec
         self.fronts = fronts
         self.energy = math.fsum(terms)
-        self._lo, self._hi, self._lg = lo, hi, lg
-        self._ratios = self._grad = self._bands = None
+        self.lo, self.hi, self.lg = lo, hi, lg
+        self._grad = None
 
-    def ratios(self):
-        """Per strip, pdf(lo)/gap and pdf(hi)/gap; zero at the infinite ends."""
-        if self._ratios is None:
-            log_pdf = kernel.log_pdf
-            lo, hi, lg = self._lo, self._hi, self._lg
-            self._ratios = (
-                [math.exp(log_pdf(lo[i]) - lg[i]) for i in range(len(lg))],
-                [math.exp(log_pdf(hi[i]) - lg[i]) for i in range(len(lg))],
-            )
-        return self._ratios
+    def _derive(self, strips=None):
+        """The second pass, cached: gradient, its max-norm and both bands.
+
+        Each strip's (beta_minus, beta_plus, gamma) is also appended to
+        ``strips`` when a list is given; the entries a strip lacks (its
+        beta_minus for strip 0, beta_plus for strip n) are placeholders.
+        """
+        spec, x = self.spec, self.fronts
+        _, flux_w, curvature_w = spec._strip_weights
+        d = spec.d
+        lo, hi, lg = self.lo, self.hi, self.lg
+        log_pdf, exp = kernel.log_pdf, math.exp
+        n = len(x)
+        grad, diag, off = [], [], []
+        gnorm = -1.0
+        bm = None  # strip 0 has no lower front
+        for i in range(n + 1):
+            # pdf(lo)/gap and pdf(hi)/gap; zero at the infinite ends
+            r_lo = exp(log_pdf(lo[i]) - lg[i])
+            r_hi = exp(log_pdf(hi[i]) - lg[i])
+            c = curvature_w[i]
+            slope = r_hi - r_lo  # (pdf(hi) - pdf(lo)) / gap
+            gm = c * r_lo * r_hi
+            if i:
+                # front i-1 is this strip's lower end: finish its row
+                bm = c * r_lo * (-0.5 * lo[i] - slope)
+                half_d = 0.5 * d[i - 1]
+                g = half_d * x[i - 1] + flux_w[i] * r_lo - outflow
+                grad.append(g)
+                diag.append(bm + gm + bp + gm_below + half_d)
+                g = abs(g)
+                if g > gnorm:
+                    gnorm = g
+            if i < n:
+                bp = c * r_hi * (0.5 * hi[i] + slope)
+                outflow = flux_w[i] * r_hi
+                if i:
+                    off.append(-gm)
+            if strips is not None:
+                strips.append((bm, bp, gm))
+            gm_below = gm
+        if not grad[0] == grad[0]:
+            gnorm = abs(grad[0])  # max() keeps a leading NaN
+        self._grad, self._gnorm, self._bands = grad, gnorm, (diag, off)
 
     def gradient(self) -> list:
         if self._grad is None:
-            flux_w, d = self.spec._strip_weights[1], self.spec.d
-            r_lo, r_hi = self.ratios()
-            x = self.fronts
-            self._grad = [
-                0.5 * d[j] * x[j] + flux_w[j + 1] * r_lo[j + 1] - flux_w[j] * r_hi[j]
-                for j in range(len(x))
-            ]
+            self._derive()
         return self._grad
+
+    def grad_norm(self) -> float:
+        """max |gradient_j|, as max() over the entries gives it."""
+        if self._grad is None:
+            self._derive()
+        return self._gnorm
 
     def parts(self):
         """(beta_minus, beta_plus, gamma) as laid out in HessianParts."""
-        curvature_w = self.spec._strip_weights[2]
-        n = len(self.fronts)
-        r_lo, r_hi = self.ratios()
-        lo, hi = self._lo, self._hi
-        beta_minus, beta_plus, gamma = [], [], []
-        for i in range(n + 1):
-            c = curvature_w[i]
-            slope = r_hi[i] - r_lo[i]  # (pdf(hi) - pdf(lo)) / gap
-            gamma.append(c * r_lo[i] * r_hi[i])
-            if i >= 1:
-                beta_minus.append(c * r_lo[i] * (-0.5 * lo[i] - slope))
-            if i <= n - 1:
-                beta_plus.append(c * r_hi[i] * (0.5 * hi[i] + slope))
-        return beta_minus, beta_plus, gamma
+        strips = []
+        self._derive(strips)
+        return (
+            [s[0] for s in strips[1:]],
+            [s[1] for s in strips[:-1]],
+            [s[2] for s in strips],
+        )
 
     def bands(self):
         """Diagonal (length n) and off-diagonal (length n-1) of the Hessian."""
-        if self._bands is None:
-            beta_minus, beta_plus, gamma = self.parts()
-            d = self.spec.d
-            n = len(self.fronts)
-            diag = [
-                beta_minus[r] + gamma[r + 1] + beta_plus[r] + gamma[r] + 0.5 * d[r]
-                for r in range(n)
-            ]
-            off = [-gamma[r + 1] for r in range(n - 1)]
-            self._bands = (diag, off)
+        if self._grad is None:
+            self._derive()
         return self._bands
 
 

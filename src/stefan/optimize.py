@@ -12,14 +12,15 @@ box, once ``check_wellposedness`` confirms the data are not coercive,
 instead of grinding to max_iter.  On coercive data leaving the box ends
 nothing.
 
-The Hessian is tridiagonal, so each Newton step costs one pass over
-the strips (``energy._Point``) and an O(n) LDL^T on its two bands,
-whose pivots double as the positive-definiteness test of the damping
-schedule.  The same pivots certify a minimum: a point with a vanishing
-gradient is reported Converged only if they are all positive, and is
-otherwise left along a direction of nonpositive curvature.  Once the
-energy is flat at machine resolution, a short bounded run of Newton
-steps is accepted on a strict decrease of the gradient instead.
+The Hessian is tridiagonal, so each Newton step costs two passes over
+the strips (``energy._Point``: the energy, then the derivatives) and
+an O(n) LDL^T on its two bands, whose pivots double as the
+positive-definiteness test of the damping schedule.  The same pivots
+certify a minimum: a point with a vanishing gradient is reported
+Converged only if they are all positive, and is otherwise left along a
+direction of nonpositive curvature.  Once the energy is flat at machine
+resolution, a short bounded run of Newton steps is accepted on a strict
+decrease of the gradient instead.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from . import kernel
 from .energy import (
     FreeBoundaries,
     Fronts,
+    InfeasiblePoint,
     ProblemSpec,
     _fronts,
     _Point,
@@ -300,17 +302,19 @@ def _boundary_cap(x: Sequence[float], p: Sequence[float], fraction: float) -> fl
     return fraction * cap
 
 
-def _default_start(spec: ProblemSpec) -> list:
-    """The fronts of the zero-latent-heat profile, with the mean diffusivity.
+def _default_start(spec: ProblemSpec) -> _Point:
+    """The point at the fronts of the zero-latent-heat profile, with the
+    mean diffusivity.
 
     With d = 0 and a uniform diffusivity a the energy's minimizer is the
     profile u_0 + (u_{n+1} - u_0) cdf(xi/a), whose fronts sit at
     a cdf^-1(p_i) with p_i = (u_i - u_0) / (u_{n+1} - u_0).  Fronts past
     the middle take the mirror of the upper share (u_{n+1} - u_i) /
-    (u_{n+1} - u_0), so a p_i near 1 loses nothing to rounding.  If these
-    are not feasible (p_1 underflows to 0, or two far-tail quantiles
-    round to one double), the fronts are spaced the mean diffusivity
-    apart around the origin instead.
+    (u_{n+1} - u_0), so a p_i near 1 loses nothing to rounding.  If
+    ``_Point`` finds these infeasible (p_1 underflows to 0, or two
+    far-tail quantiles round to one double), the fronts are spaced the
+    mean diffusivity apart around the origin instead.  The point built
+    here is the solve's first point.
     """
     abar = sum(spec.a) / len(spec.a)
     lo, hi = spec.u[0], spec.u[-1]
@@ -320,26 +324,11 @@ def _default_start(spec: ProblemSpec) -> list:
     for u in spec.u[1:-1]:
         p = (u - lo) / span
         x.append(abar * inverse(p) if p <= 0.5 else -(abar * inverse((hi - u) / span)))
-    if _feasible(x, spec.a):
-        return x
-    n = spec.n
-    return [(i - 0.5 * (n + 1)) * abar for i in range(1, n + 1)]
-
-
-def _feasible(x: Sequence[float], a: Sequence[float]) -> bool:
-    """Finite, and strictly increasing once each strip is scaled.
-
-    The strip between x[i] and x[i + 1] spans x[i]/a[i+1] to
-    x[i+1]/a[i+1].  Far out, two distinct fronts can round to one scaled
-    value, where the energy is as undefined as at touching fronts.
-    """
-    return all(map(math.isfinite, x)) and all(
-        x[i] / a[i + 1] < x[i + 1] / a[i + 1] for i in range(len(x) - 1)
-    )
-
-
-def _gnorm(g: Sequence[float]) -> float:
-    return max(abs(v) for v in g)
+    try:
+        return _Point(spec, x)
+    except InfeasiblePoint:
+        n = spec.n
+        return _Point(spec, [(i - 0.5 * (n + 1)) * abar for i in range(1, n + 1)])
 
 
 def minimize(
@@ -352,14 +341,17 @@ def minimize(
     Starts from the fronts of the zero-latent-heat profile (see
     ``_default_start``: exact when d = 0 and a is uniform, equispaced
     around the origin if those fronts do not resolve) unless an explicit
-    feasible start is given; the start is validated once and trial
-    points are only checked for being finite and strictly ordered.
-    Each point is evaluated in one pass over its strips: line-search
-    trials need the energy only, and the accepted trial's strips give
-    the gradient and the two bands of the tridiagonal Hessian.  The
-    Newton system is solved by an O(n) LDL^T on those bands, damped as
-    in ``newton_step``.  Accepted iterates decrease the energy strictly
-    and stay inside the feasibility cone.  Termination:
+    feasible start is given.  An explicit start is validated as in
+    ``energy``.  Feasibility is then tested only inside ``energy._Point``,
+    whose first strip pass checks that every scaled strip is nonempty: a
+    line-search trial whose distinct fronts round to one scaled value far
+    out is infeasible and is backtracked, not an error.  A trial costs
+    that one pass, which gives its energy; the accepted trial gets a
+    second, which gives the gradient, its max-norm and the two bands of
+    the tridiagonal Hessian together.  The Newton system is solved by an
+    O(n) LDL^T on those bands, damped as in ``newton_step``.  Accepted
+    iterates decrease the energy strictly and stay inside the
+    feasibility cone.  Termination:
 
     Converged      max-norm of the gradient at or below opts.grad_tol and
                    a positive definite Hessian (all undamped LDL^T
@@ -389,14 +381,13 @@ def minimize(
     """
     opts = SolveOptions() if opts is None else opts
     if start is None:
-        x = _default_start(spec)
+        point = _default_start(spec)
     else:
-        x = list(_fronts(spec, start))
-
-    point = _Point(spec, x)
+        point = _Point(spec, list(_fronts(spec, start)))
+    x = point.fronts
     f = point.energy
     g = point.gradient()
-    gn = _gnorm(g)
+    gn = point.grad_norm()
     trace = [IterationRecord(0, f, gn)]
     iterations = 0
     flat_left = _FLAT_STEPS
@@ -421,32 +412,37 @@ def minimize(
         accepted = flat = False
         while alpha > 1e-20:
             xt = [xi + alpha * pi for xi, pi in zip(x, p)]
-            if xt != x and _feasible(xt, spec.a):
-                trial = _Point(spec, xt)
-                ft = trial.energy
-                # below the last recorded energy too, after flat steps
-                if ft <= f + _ARMIJO_C * alpha * slope and ft < min(f, trace[-1].energy):
-                    accepted = True
-                    break
-                if abs(ft - f) <= flat_tol:
-                    # Energy is flat at machine resolution; let the
-                    # gradient decide whether this step makes progress.
-                    flat = flat_left > 0 and _gnorm(trial.gradient()) < gn
-                    break
+            if xt != x:
+                try:
+                    trial = _Point(spec, xt)
+                except InfeasiblePoint:
+                    pass  # a strip empty once scaled: step shorter
+                else:
+                    ft = trial.energy
+                    # below the last recorded energy too, after flat steps
+                    if ft <= f + _ARMIJO_C * alpha * slope and ft < min(f, trace[-1].energy):
+                        accepted = True
+                        break
+                    if abs(ft - f) <= flat_tol:
+                        # Energy is flat at machine resolution; let the
+                        # gradient decide whether this step makes progress.
+                        flat = flat_left > 0 and trial.grad_norm() < gn
+                        break
             alpha *= _BACKTRACK
         if not (accepted or flat):
             break  # stalled by roundoff; report honestly below
 
         x, f, point = xt, ft, trial
         g = point.gradient()
-        gn = _gnorm(g)
+        gn = point.grad_norm()
         iterations = it
         if flat:
             flat_left -= 1
             continue
         trace.append(IterationRecord(it, f, gn))
 
-        if max(abs(v) for v in x) > opts.xi_max:
+        # x is increasing, so its ends hold the largest |x_i|
+        if -x[0] > opts.xi_max or x[-1] > opts.xi_max:
             if coercive is None:
                 coercive = check_wellposedness(spec).coercive
             if not coercive:

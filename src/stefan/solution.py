@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Tuple
 
 from . import kernel
-from .energy import FreeBoundaries, Fronts, ProblemSpec, _fronts, _strips
+from .energy import FreeBoundaries, Fronts, ProblemSpec, _fronts, _Point
 
 if TYPE_CHECKING:
     import numpy as np
@@ -72,7 +72,8 @@ class SelfSimilarSolution:
 
 def assemble(spec: ProblemSpec, xi_star: Fronts) -> SelfSimilarSolution:
     fronts = _fronts(spec, xi_star)
-    lo, hi, lg = _strips(spec.a, fronts)
+    point = _Point(spec, fronts)
+    lo, hi, lg = point.lo, point.hi, point.lg
     pieces = tuple(
         Piece(
             a=spec.a[i],

@@ -4,15 +4,16 @@ generators with controlled well-posedness properties.
 
 Everything here deliberately avoids the library's own evaluation paths
 where it serves as an oracle: quad_cdf integrates the defining integral
-directly, and the finite-difference routines only consume energies or
-gradients as black boxes.
+directly, the finite-difference routines only consume energies or
+gradients as black boxes, and MultiPassPoint spells out the energy and
+its derivatives one formula per pass.
 """
 import math
 
 import numpy as np
 from scipy.integrate import quad
 
-from stefan import NewtonBreakdown, ProblemSpec, energy, gradient
+from stefan import NewtonBreakdown, ProblemSpec, energy, gradient, kernel
 from stefan.optimize import _dot, _ldl, _ldl_solve, _positive
 
 
@@ -153,3 +154,53 @@ def damped_step(g, diag, off, damping_min):
         lam = damping_min if lam == 0.0 else 2.0 * lam
         if lam == math.inf:
             raise NewtonBreakdown("damping overflowed without a usable direction")
+
+
+def strips(a, fronts):
+    """(lo, hi, log_gap) of the n+1 strips; strip i spans xi_i/a_i to xi_{i+1}/a_i."""
+    n = len(fronts)
+    lo = [-math.inf] + [fronts[i] / a[i + 1] for i in range(n)]
+    hi = [fronts[i] / a[i] for i in range(n)] + [math.inf]
+    return lo, hi, [kernel.log_gap(lo[i], hi[i]) for i in range(n + 1)]
+
+
+class MultiPassPoint:
+    """The energy, gradient and Hessian of one point, one list pass per
+    quantity, in the floating-point operation order the library's fused
+    strip passes must reproduce bit for bit.  ``fronts`` must be feasible.
+    """
+
+    def __init__(self, spec: ProblemSpec, fronts):
+        energy_w, flux_w, curvature_w = spec._strip_weights
+        d, n = spec.d, len(fronts)
+        lo, hi, lg = strips(spec.a, fronts)
+        terms = [-(energy_w[i] * lg[i]) for i in range(n + 1)]
+        terms += [0.25 * d[i] * fronts[i] * fronts[i] for i in range(n)]
+        self.energy = math.fsum(terms)
+
+        # ratios: per strip, pdf(lo)/gap and pdf(hi)/gap
+        r_lo = [math.exp(kernel.log_pdf(lo[i]) - lg[i]) for i in range(n + 1)]
+        r_hi = [math.exp(kernel.log_pdf(hi[i]) - lg[i]) for i in range(n + 1)]
+
+        self.gradient = [
+            0.5 * d[j] * fronts[j] + flux_w[j + 1] * r_lo[j + 1] - flux_w[j] * r_hi[j]
+            for j in range(n)
+        ]
+
+        beta_minus, beta_plus, gamma = [], [], []
+        for i in range(n + 1):
+            c = curvature_w[i]
+            slope = r_hi[i] - r_lo[i]
+            gamma.append(c * r_lo[i] * r_hi[i])
+            if i >= 1:
+                beta_minus.append(c * r_lo[i] * (-0.5 * lo[i] - slope))
+            if i <= n - 1:
+                beta_plus.append(c * r_hi[i] * (0.5 * hi[i] + slope))
+        self.parts = (beta_minus, beta_plus, gamma)
+
+        diag = [
+            beta_minus[r] + gamma[r + 1] + beta_plus[r] + gamma[r] + 0.5 * d[r]
+            for r in range(n)
+        ]
+        off = [-gamma[r + 1] for r in range(n - 1)]
+        self.bands = (diag, off)

@@ -5,28 +5,41 @@ import math
 import numpy as np
 import pytest
 
+import stefan.kernel
 from stefan import (
     FreeBoundaries,
     InfeasiblePoint,
     InvalidProblem,
     ProblemSpec,
+    assemble,
     check_wellposedness,
     energy,
     gradient,
     hessian,
     hessian_parts,
+    minimize,
+    newton_step,
 )
+from stefan.energy import _Point
 
 from helpers import (
+    MultiPassPoint,
     fd_gradient,
     fd_hessian,
     random_convex_spec,
     random_coercive_spec,
     random_fronts,
+    random_noncoercive_spec,
     rel_err,
 )
 
 SYM = ProblemSpec(u=(-1.0, 0.0, 1.0), a=(1.0, 1.0), k=(1.0, 1.0), d=(0.0,))
+THREE = ProblemSpec(
+    u=(-2.0, -0.5, 0.7, 1.1, 2.4),
+    a=(1.2, 0.8, 1.5, 0.9),
+    k=(0.7, 1.9, 1.1, 0.6),
+    d=(0.3, -0.2, 0.5),
+)
 BOX2 = ProblemSpec(
     u=(-1.0, 0.0, 1.0, 2.0), a=(1.0, 1.0, 1.0), k=(1.0, 1.0, 1.0), d=(0.0, 0.0)
 )
@@ -92,6 +105,12 @@ class TestFreeBoundaries:
             FreeBoundaries((float("inf"),))
         with pytest.raises(InfeasiblePoint):
             FreeBoundaries(())
+
+    def test_rejects_coordinates_beyond_the_double_range(self):
+        with pytest.raises(InfeasiblePoint):
+            FreeBoundaries((10**400,))
+        with pytest.raises(InfeasiblePoint):
+            energy(SYM, [10**400])
 
 
 class TestEnergyValues:
@@ -322,3 +341,86 @@ def test_strip_weights_stay_out_of_the_dataclass_surface():
     for xi in ([0.3], [-1.7]):
         assert energy(changed, xi) == energy(fresh, xi) != energy(spec, xi)
         assert list(gradient(changed, xi)) == list(gradient(fresh, xi))
+
+
+# far out, distinct fronts can round to one scaled value: here x/0.8 at
+# 1e6, so THREE's strip 1 is empty although the fronts increase
+COLLAPSED = (1e6, math.nextafter(1e6, math.inf), 2e6)
+
+
+@pytest.mark.parametrize("evaluate", [
+    energy,
+    gradient,
+    hessian_parts,
+    hessian,
+    newton_step,
+    assemble,
+    lambda spec, xi: minimize(spec, start=xi),
+], ids=["energy", "gradient", "hessian_parts", "hessian", "newton_step",
+        "assemble", "minimize"])
+def test_strip_empty_once_scaled_is_infeasible(evaluate):
+    assert COLLAPSED[0] / 0.8 == COLLAPSED[1] / 0.8
+    with pytest.raises(InfeasiblePoint):
+        evaluate(THREE, COLLAPSED)
+
+
+def _oracle_cases():
+    rng = np.random.default_rng(2024)
+    for n in (1, 2, 50, 200):
+        for make in (random_convex_spec, random_coercive_spec, random_noncoercive_spec):
+            yield f"seeded-{make.__name__[7:-5]}-n{n}", make(rng, n), random_fronts(rng, n)
+    # every front in a kernel tail, |xi/a| from just past 6 up to 40
+    tail = ProblemSpec(u=(-2.0, -1.0, 0.5, 1.0, 2.0, 3.5, 4.0),
+                       a=(1.0, 0.9, 1.2, 1.0, 0.7, 1.0),
+                       k=(1.0, 0.6, 1.5, 1.0, 2.0, 0.8),
+                       d=(0.4, -0.3, 0.2, 0.5, -0.1))
+    yield "tails", tail, (-36.0, -12.5, 7.5, 14.0, 27.5)
+    yield "far-tails", tail, (-35.5, -35.0, 8.0, 27.9, 28.0)
+    # strips 1e-9 wide, in the centre and out in both tails
+    yield "narrow", THREE, (0.3, 0.3 + 1e-9, 2.0)
+    yield "narrow-tails", THREE, (-9.0, -9.0 + 1e-9, 7.5)
+    yield "narrow-right", THREE, (-1.0, 7.2, 7.2 + 1e-9)
+    # strips whose ends lie on both sides of 0
+    yield "straddle", THREE, (-0.7, 0.1, 0.9)
+    yield "straddle-zero-front", THREE, (-1e-3, 0.0, 5e-4)
+
+
+def _bits(values):
+    return [float(v).hex() for v in values]
+
+
+@pytest.mark.parametrize("spec, xi", [
+    pytest.param(spec, xi, id=name) for name, spec, xi in _oracle_cases()
+])
+def test_fused_point_matches_the_multi_pass_oracle(spec, xi):
+    point, want = _Point(spec, list(xi)), MultiPassPoint(spec, list(xi))
+    assert _bits([point.energy]) == _bits([want.energy])
+    assert _bits(point.gradient()) == _bits(want.gradient)
+    assert _bits([point.grad_norm()]) == _bits([max(abs(v) for v in want.gradient)])
+    for got, ref in zip(point.parts(), want.parts):
+        assert _bits(got) == _bits(ref)
+    for got, ref in zip(point.bands(), want.bands):
+        assert _bits(got) == _bits(ref)
+
+
+@pytest.mark.parametrize("n", [1, 3, 50])
+def test_a_point_takes_one_log_gap_per_strip_and_one_derivative_pass(n, monkeypatch):
+    calls = {"log_gap": 0, "log_pdf": 0}
+    for name in calls:
+        real = getattr(stefan.kernel, name)
+
+        def counted(*args, _name=name, _real=real):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(stefan.kernel, name, counted)
+    rng = np.random.default_rng(n)
+    spec, xi = random_convex_spec(rng, n), list(random_fronts(rng, n))
+    point = _Point(spec, xi)
+    assert calls == {"log_gap": n + 1, "log_pdf": 0}
+    point.gradient()
+    # one derivative pass: one log_pdf per strip end
+    assert calls == {"log_gap": n + 1, "log_pdf": 2 * (n + 1)}
+    point.grad_norm()
+    point.bands()
+    assert calls == {"log_gap": n + 1, "log_pdf": 2 * (n + 1)}

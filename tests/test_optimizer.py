@@ -6,6 +6,7 @@ import pytest
 
 import stefan.kernel
 from stefan import (
+    InfeasiblePoint,
     NewtonBreakdown,
     ProblemSpec,
     SolveOptions,
@@ -23,6 +24,7 @@ from stefan import (
 )
 
 import stefan.optimize
+from stefan.energy import _Point
 from stefan.optimize import _damped_step, _default_start, _negative_curvature
 
 from helpers import (
@@ -385,9 +387,12 @@ class TestMinimize:
     def test_far_start_with_unresolved_strips_does_not_raise(self):
         # far out, distinct fronts can round to one scaled value (here
         # x/0.8 at 1e6); such trials are infeasible, not a log_gap error
-        x = (1e6, math.nextafter(1e6, math.inf))
+        x = [1e6, math.nextafter(1e6, math.inf)]
         assert x[0] / 0.8 == x[1] / 0.8
-        assert not stefan.optimize._feasible(x, (1.0, 0.8, 1.0))
+        spec = ProblemSpec(u=(-1.0, 0.0, 1.0, 2.0), a=(1.0, 0.8, 1.0),
+                           k=(1.0, 1.0, 1.0), d=(0.0, 0.0))
+        with pytest.raises(InfeasiblePoint):
+            _Point(spec, x)
         res = minimize(THREE, SolveOptions(xi_max=1.0), start=ray_point(THREE, 2, 1e6))
         assert res.status is not SolveStatus.DIVERGED
 
@@ -472,8 +477,8 @@ class TestDefaultStart:
                 assert xi == pytest.approx(want, rel=2e-15, abs=1e-16)
 
     def test_middle_temperature_starts_at_the_origin(self):
-        assert _default_start(SYM) == [0.0]
-        assert _default_start(SINK) == [0.0]
+        assert _default_start(SYM).fronts == [0.0]
+        assert _default_start(SINK).fronts == [0.0]
 
     def test_unresolved_quantiles_fall_back_to_equispaced_fronts(self):
         # p_1 = 5e-324 / 3 underflows to 0, so cdf^-1(p_1) = -inf
@@ -484,7 +489,7 @@ class TestDefaultStart:
         tied = ProblemSpec(u=(0.0, 1e-20, 1.000000000000004e-20, 3.0),
                            a=(1.0, 1.0, 1.0), k=(1.0, 1e35, 1.0), d=(1.0, 1.0))
         for spec in (under, tied):
-            assert _default_start(spec) == [-0.5, 0.5]
+            assert _default_start(spec).fronts == [-0.5, 0.5]
             res = minimize(spec)
             assert res.status is SolveStatus.CONVERGED
             assert res.grad_norm <= 1e-12
