@@ -13,7 +13,9 @@ calls.
 
 The evaluation is self-contained: rational approximations on the
 central branches and a Laplace continued fraction in the far tail, so
-the only library primitives needed are exp, log and sqrt.  Plus and
+the only library primitives needed are exp, log, log1p and sqrt.  A
+narrow strip's log gap skips both: it is log(width) + log_pdf(midpoint)
+plus the log1p of a short series in the width.  Plus and
 minus infinity are legal inputs everywhere and map to the exact limit
 values.  All functions are pure and reentrant.
 """
@@ -38,6 +40,11 @@ _TAIL_SWITCH = 6.0
 
 # A continued-fraction factor this close to 1 is within one ulp of it.
 _CF_RESOLUTION = 2.3e-16
+
+# A strip of width h around m with h * max(1, |m|) at or below this takes
+# log_gap's midpoint series.
+_NARROW = 0.2
+_NARROW_SQ = _NARROW * _NARROW
 
 # ---------------------------------------------------------------------------
 # Error-function shape, double precision.  Rational coefficients are the
@@ -140,7 +147,7 @@ def _erf(x):
 def _erfc(x):
     # x >= 0 only; callers handle reflection
     if x < 0.84375:
-        if x < 3.7252902984e-09:
+        if x < 1.3877787807814457e-17:  # 2**-56; erf's 2**-28 is too coarse here
             return 1.0 - x
         y = _erf_small(x * x)
         if x < 0.25:
@@ -320,8 +327,18 @@ def log_gap(a: float, b: float) -> float:
     arguments sit in the same tail.  Beyond +-6 the gap is therefore
     assembled from complementary tails entirely in log space; in the
     central band the difference is arranged so nothing is ever
-    subtracted from 1.  A strip too narrow for that difference to
-    resolve takes its width times the density at its midpoint.
+    subtracted from 1.
+
+    A narrow strip, h = b - a with h * max(1, |m|) <= 0.2 around the
+    midpoint m, is never differenced.  Its gap is the density integrated
+    about m,
+
+        h pdf(m) (1 + sum over k of He_2k(m/sqrt 2) h^2k / (8^k (2k+1)!)),
+
+    with the probabilists' Hermite polynomials He, summed for k = 1..4
+    (relative truncation error below 7.5e-17), so the log is
+    log(h) + log_pdf(m) + log1p(series).  Any strip whose differenced
+    gap still rounds to zero or below takes log(h) + log_pdf(m).
     """
     if not a < b:
         if a != a or b != b:
@@ -330,6 +347,21 @@ def log_gap(a: float, b: float) -> float:
     if b <= 0.0:
         # the density is even, so the gap over (a, b) is the gap over (-b, -a)
         a, b = -b, -a
+    h = b - a
+    if h <= _NARROW:
+        m = 0.5 * (a + b)
+        w = m * m
+        q = h * h
+        if q * w <= _NARROW_SQ:
+            # the k-th term is q^k He_2k(m/sqrt 2) / (8^k (2k+1)!), written
+            # as a polynomial in w = m^2
+            series = q * ((w - 2.0) / 96.0 + q * (
+                ((w - 12.0) * w + 12.0) / 30720.0 + q * (
+                (((w - 30.0) * w + 180.0) * w - 120.0) / 20643840.0 + q * (
+                ((((w - 56.0) * w + 840.0) * w - 3360.0) * w + 1680.0)
+                / 23781703680.0))))
+            # the middle term is log_pdf(m)
+            return math.log(h) + (-0.25 * w - _LOG_2_SQRT_PI) + math.log1p(series)
     if a >= _TAIL_SWITCH:
         # both deep in the right tail
         la = _log_upper(a)
@@ -351,7 +383,7 @@ def log_gap(a: float, b: float) -> float:
         half_gap = 0.5 * (_erf(0.5 * b) + _erf(-0.5 * a))
         if half_gap > 0.0:
             return math.log(half_gap)
-    # The differenced gap rounded to zero or below.  A strip of width
-    # h = b - a around m has log gap log(h) + log_pdf(m), to a relative
-    # error of h^2 |m^2/4 - 1/2| / 24.
-    return math.log(b - a) + log_pdf(0.5 * (a + b))
+    # The differenced gap rounded to zero or below: a far-tail strip too
+    # wide for the series.  A strip of width h around m has log gap
+    # log(h) + log_pdf(m), to a relative error of h^2 |m^2/4 - 1/2| / 24.
+    return math.log(h) + log_pdf(0.5 * (a + b))

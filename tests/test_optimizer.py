@@ -345,6 +345,14 @@ class TestMinimize:
         assert res.xi_star is None
         assert res.trace[1].energy < res.trace[0].energy
 
+    @pytest.mark.parametrize("seed", [0, 1, 3])
+    def test_close_fronts_at_n_100_converge(self, seed):
+        # fronts 0.002-0.2 apart: differenced narrow strips used to leave
+        # the gradient a roundoff floor above grad_tol (MaxIterations)
+        res = minimize(random_convex_spec(np.random.default_rng(seed), 100))
+        assert res.status is SolveStatus.CONVERGED
+        assert res.grad_norm <= SolveOptions().grad_tol
+
     @pytest.mark.parametrize("seed, n", [(127, 8), (1634, 8), (2287, 2)])
     def test_noncoercive_escape_does_not_raise(self, seed, n):
         spec = random_noncoercive_spec(np.random.default_rng(seed), n)
