@@ -184,9 +184,15 @@ class _Point:
     The first call to ``gradient``, ``grad_norm`` or ``bands`` makes the
     second pass, which forms each strip's pdf/gap ratios and from them
     the gradient, its max-norm and the two Hessian bands together, and
-    caches them.  ``parts`` runs the same pass and records each strip's
-    HessianParts entries as well, so the Hessian formulas live in that
-    one loop.
+    caches them.  It makes no kernel call: each ratio is
+    exp(log_pdf(end) - log_gap) with ``kernel.log_pdf``'s expression
+    written inline, in its operation order, so the bits are log_pdf's.
+    ``parts`` runs the same pass and records each strip's HessianParts
+    entries as well, so the Hessian formulas live in that one loop.
+
+    ``minimize`` hands its final point to ``solution.assemble`` on the
+    FreeBoundaries it returns, so a converged solve's strips are not
+    taken again.
     """
 
     __slots__ = ("spec", "fronts", "energy", "lo", "hi", "lg", "_grad", "_gnorm",
@@ -233,21 +239,23 @@ class _Point:
         _, flux_w, curvature_w = spec._strip_weights
         d = spec.d
         lo, hi, lg = self.lo, self.hi, self.lg
-        log_pdf, exp = kernel.log_pdf, math.exp
+        exp, log_2_sqrt_pi = math.exp, kernel._LOG_2_SQRT_PI
         n = len(x)
         grad, diag, off = [], [], []
         gnorm = -1.0
         bm = None  # strip 0 has no lower front
         for i in range(n + 1):
-            # pdf(lo)/gap and pdf(hi)/gap; zero at the infinite ends
-            r_lo = exp(log_pdf(lo[i]) - lg[i])
-            r_hi = exp(log_pdf(hi[i]) - lg[i])
+            b, t, lgi = lo[i], hi[i], lg[i]
+            # pdf(b)/gap and pdf(t)/gap; log_pdf is inlined, which is safe
+            # as the ends are never NaN and exp(-inf) = 0 at infinite ones
+            r_lo = exp(-0.25 * b * b - log_2_sqrt_pi - lgi)
+            r_hi = exp(-0.25 * t * t - log_2_sqrt_pi - lgi)
             c = curvature_w[i]
-            slope = r_hi - r_lo  # (pdf(hi) - pdf(lo)) / gap
+            slope = r_hi - r_lo  # (pdf(t) - pdf(b)) / gap
             gm = c * r_lo * r_hi
             if i:
                 # front i-1 is this strip's lower end: finish its row
-                bm = c * r_lo * (-0.5 * lo[i] - slope)
+                bm = c * r_lo * (-0.5 * b - slope)
                 half_d = 0.5 * d[i - 1]
                 g = half_d * x[i - 1] + flux_w[i] * r_lo - outflow
                 grad.append(g)
@@ -256,7 +264,7 @@ class _Point:
                 if g > gnorm:
                     gnorm = g
             if i < n:
-                bp = c * r_hi * (0.5 * hi[i] + slope)
+                bp = c * r_hi * (0.5 * t + slope)
                 outflow = flux_w[i] * r_hi
                 if i:
                     off.append(-gm)

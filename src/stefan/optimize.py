@@ -173,6 +173,9 @@ def _doublings_past(x, damping_min):
 def _damped_step(g, diag, off, damping_min):
     """Damped Newton direction from the Hessian bands; see newton_step.
 
+    Returns (p, lam, slope), where slope is the g.p that accepted the
+    step, so the caller need not form it again.
+
     The schedule is lam = 0, then lam_k = damping_min * 2**k for
     k = 0, 1, ...; lam_k is usable when all pivots of T + lam_k*I are
     positive and its direction descends (or g = 0, or lam_k is past the
@@ -196,8 +199,9 @@ def _damped_step(g, diag, off, damping_min):
     piv, l = _ldl(diag, off, 0.0)
     if _positive(piv, n):
         p = _ldl_solve(piv, l, g)
-        if _dot(g, p) < 0.0 or not any(g):
-            return p, 0.0
+        slope = _dot(g, p)
+        if slope < 0.0 or not any(g):
+            return p, 0.0, slope
         guess = -1
     else:
         v = _curvature_vector(piv, l, n)
@@ -215,8 +219,9 @@ def _damped_step(g, diag, off, damping_min):
         piv, l = _ldl(diag, off, lam)
         if _positive(piv, n):
             p = _ldl_solve(piv, l, g)
-            if _dot(g, p) < 0.0 or not any(g) or lam > bound:
-                return p, lam
+            slope = _dot(g, p)
+            if slope < 0.0 or not any(g) or lam > bound:
+                return p, lam, slope
         return None
 
     top = _doublings_past(bound, damping_min)
@@ -288,7 +293,7 @@ def newton_step(
     import numpy as np
 
     point = _Point(spec, _fronts(spec, xi))
-    p, lam = _damped_step(point.gradient(), *point.bands(), damping_min)
+    p, lam, _ = _damped_step(point.gradient(), *point.bands(), damping_min)
     return np.array(p), lam
 
 
@@ -298,7 +303,9 @@ def _boundary_cap(x: Sequence[float], p: Sequence[float], fraction: float) -> fl
     for i in range(len(x) - 1):
         closing = p[i] - p[i + 1]
         if closing > 0.0:
-            cap = min(cap, (x[i + 1] - x[i]) / closing)
+            room = (x[i + 1] - x[i]) / closing
+            if room < cap:  # as min(cap, room), NaN included
+                cap = room
     return fraction * cap
 
 
@@ -378,6 +385,10 @@ def minimize(
     opts.xi_max only matters on data that are not coercive.  Coercive
     data have a minimizer, so an iterate outside the box keeps going and
     the solve ends Converged or MaxIterations, never Diverged.
+
+    A Converged result's xi_star carries the final ``_Point`` as the
+    attribute ``_point``, outside the dataclass fields, so that
+    ``solution.assemble`` reuses its strips instead of rebuilding them.
     """
     opts = SolveOptions() if opts is None else opts
     if start is None:
@@ -402,9 +413,9 @@ def minimize(
                 break
             if _dot(g, p) > 0.0:
                 p = [-v for v in p]
+            slope = _dot(g, p)
         else:
-            p, _ = _damped_step(g, *point.bands(), opts.damping_min)
-        slope = _dot(g, p)
+            p, _, slope = _damped_step(g, *point.bands(), opts.damping_min)
         if slope >= 0.0 and gn > opts.grad_tol:
             break  # gradient is numerically zero; nothing to gain
         alpha = min(1.0, _boundary_cap(x, p, opts.boundary_fraction))
@@ -454,9 +465,11 @@ def minimize(
         certified = gn <= opts.grad_tol and _negative_curvature(*point.bands()) is None
 
     if certified:
-        point = FreeBoundaries(tuple(x))
+        fronts = FreeBoundaries(tuple(x))
+        # not a field, so eq, repr, hash and asdict ignore it
+        object.__setattr__(fronts, "_point", point)
         return SolveResult(
-            SolveStatus.CONVERGED, point, f, gn, iterations, tuple(trace)
+            SolveStatus.CONVERGED, fronts, f, gn, iterations, tuple(trace)
         )
     return SolveResult(
         SolveStatus.MAX_ITERATIONS, None, f, gn, iterations, tuple(trace)

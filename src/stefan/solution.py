@@ -71,8 +71,20 @@ class SelfSimilarSolution:
 
 
 def assemble(spec: ProblemSpec, xi_star: Fronts) -> SelfSimilarSolution:
-    fronts = _fronts(spec, xi_star)
-    point = _Point(spec, fronts)
+    """The profile pieces at the fronts xi_star, from each strip's scaled
+    ends and log gap.
+
+    A FreeBoundaries that ``minimize`` returned for this very spec
+    carries the point it was certified at, whose strips are used as
+    they are; any other input is validated and its strips taken anew,
+    with the same result bit for bit.
+    """
+    point = getattr(xi_star, "_point", None)
+    if point is not None and point.spec is spec:
+        fronts = xi_star.xi
+    else:
+        fronts = _fronts(spec, xi_star)
+        point = _Point(spec, fronts)
     lo, hi, lg = point.lo, point.hi, point.lg
     pieces = tuple(
         Piece(
@@ -98,7 +110,7 @@ def evaluate_profile(sol: SelfSimilarSolution, xi: float) -> float:
     At an interface both one-sided limits equal the phase temperature,
     which is what gets returned.
     """
-    if math.isnan(xi):
+    if xi != xi:
         raise ValueError("xi must not be NaN")
     fronts = sol.xi_star
     j = bisect_right(fronts, xi)
@@ -106,7 +118,7 @@ def evaluate_profile(sol: SelfSimilarSolution, xi: float) -> float:
         return sol.spec.u[j]
     p = sol.pieces[j]
     c = kernel.cdf(xi / p.a)
-    if c <= p.cdf_mid:
+    if c <= 0.5 * (p.cdf_lo + p.cdf_hi):  # p.cdf_mid, inlined
         return p.u_lo + p.scale * (c - p.cdf_lo)
     return p.u_hi + p.scale * (c - p.cdf_hi)
 

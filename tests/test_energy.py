@@ -405,22 +405,27 @@ def test_fused_point_matches_the_multi_pass_oracle(spec, xi):
 
 @pytest.mark.parametrize("n", [1, 3, 50])
 def test_a_point_takes_one_log_gap_per_strip_and_one_derivative_pass(n, monkeypatch):
-    calls = {"log_gap": 0, "log_pdf": 0}
-    for name in calls:
-        real = getattr(stefan.kernel, name)
+    calls = {"log_gap": 0, "log_pdf": 0, "pdf": 0, "_derive": 0}
+    for owner, name in (
+        (stefan.kernel, "log_gap"),
+        (stefan.kernel, "log_pdf"),
+        (stefan.kernel, "pdf"),
+        (_Point, "_derive"),
+    ):
+        real = getattr(owner, name)
 
         def counted(*args, _name=name, _real=real):
             calls[_name] += 1
             return _real(*args)
 
-        monkeypatch.setattr(stefan.kernel, name, counted)
+        monkeypatch.setattr(owner, name, counted)
     rng = np.random.default_rng(n)
     spec, xi = random_convex_spec(rng, n), list(random_fronts(rng, n))
     point = _Point(spec, xi)
-    assert calls == {"log_gap": n + 1, "log_pdf": 0}
+    assert calls == {"log_gap": n + 1, "log_pdf": 0, "pdf": 0, "_derive": 0}
     point.gradient()
-    # one derivative pass: one log_pdf per strip end
-    assert calls == {"log_gap": n + 1, "log_pdf": 2 * (n + 1)}
+    # one derivative pass, which takes its pdf values without a kernel call
+    assert calls == {"log_gap": n + 1, "log_pdf": 0, "pdf": 0, "_derive": 1}
     point.grad_norm()
     point.bands()
-    assert calls == {"log_gap": n + 1, "log_pdf": 2 * (n + 1)}
+    assert calls == {"log_gap": n + 1, "log_pdf": 0, "pdf": 0, "_derive": 1}

@@ -25,7 +25,7 @@ from stefan import (
 
 import stefan.optimize
 from stefan.energy import _Point
-from stefan.optimize import _damped_step, _default_start, _negative_curvature
+from stefan.optimize import _damped_step, _default_start, _dot, _negative_curvature
 
 from helpers import (
     damped_step,
@@ -148,7 +148,7 @@ class TestNewtonStep:
     def test_breakdown_only_on_nonfinite_hessian(self):
         g = [1.0, -1.0]
         # wildly indefinite but finite: the Gershgorin bound ends the schedule
-        p, lam = _damped_step(g, [-1.9e15, 1.0], [3.0], 1e-12)
+        p, lam = _checked_step(g, [-1.9e15, 1.0], [3.0], 1e-12)
         assert lam > 1.9e15 and all(map(math.isfinite, p))
         for diag, off in (([math.inf, 1.0], [0.0]), ([1.0, 1.0], [math.nan])):
             with pytest.raises(NewtonBreakdown):
@@ -161,6 +161,13 @@ def _indefinite_bands(rng, n, need):
     off = rng.normal(size=n - 1)
     lowest = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))[0]
     return [float(v) for v in diag - lowest - need], [float(v) for v in off]
+
+
+def _checked_step(g, diag, off, damping_min):
+    """_damped_step's (p, lam), once its third value is g.p bit for bit."""
+    p, lam, slope = _damped_step(g, diag, off, damping_min)
+    assert slope.hex() == _dot(g, p).hex()
+    return p, lam
 
 
 def _same_step(got, want):
@@ -225,14 +232,14 @@ class TestDampingSchedule:
                 diag, off = _indefinite_bands(rng, n, need)
                 g = [0.0] * n if trial == 3 else [float(v) for v in rng.normal(size=n)]
                 want = damped_step(g, diag, off, 1e-12)
-                assert _same_step(_damped_step(g, diag, off, 1e-12), want), (n, need)
+                assert _same_step(_checked_step(g, diag, off, 1e-12), want), (n, need)
                 lams.append(want[1])
         assert min(lams) < 1e-9 and max(lams) > 1e5
 
     @pytest.mark.parametrize("g, diag, off, damping_min", _SCHEDULE_EDGES)
     def test_edge_cases_match_the_walk(self, g, diag, off, damping_min):
         want = damped_step(g, diag, off, damping_min)
-        assert _same_step(_damped_step(g, diag, off, damping_min), want)
+        assert _same_step(_checked_step(g, diag, off, damping_min), want)
 
     def test_overflowing_bound_breaks_down_like_the_walk(self):
         # the Gershgorin shift overflows and no finite damping helps
@@ -273,7 +280,7 @@ class TestDampingSchedule:
                 diag, off = _indefinite_bands(rng, n, need)
                 g = [float(v) for v in rng.normal(size=n)]
                 del calls[:]
-                _, lam = _damped_step(g, diag, off, 1e-12)
+                _, lam = _checked_step(g, diag, off, 1e-12)
                 assert lam > 0.0
                 k_max = _least_k_past_bound(diag, off, 1e-12)
                 assert len(calls) <= math.ceil(math.log2(k_max + 1)) + 2

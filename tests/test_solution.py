@@ -1,5 +1,7 @@
 """Profile assembly, evaluation, and residual validation."""
+import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -16,9 +18,9 @@ from stefan import (
     stefan_residuals,
     validate,
 )
-from stefan import solution
+from stefan import FreeBoundaries, kernel, solution
 
-from helpers import quad_cdf
+from helpers import quad_cdf, random_convex_spec
 
 SYM = ProblemSpec(u=(-1.0, 0.0, 1.0), a=(1.0, 1.0), k=(1.0, 1.0), d=(0.0,))
 BOX2 = ProblemSpec(
@@ -52,6 +54,78 @@ class TestAssembly:
     def test_rejects_infeasible(self):
         with pytest.raises(ValueError):
             assemble(BOX2, (1.0, -1.0))
+
+
+def _piece_bits(sol):
+    return [[v.hex() for v in dataclasses.astuple(p)] for p in sol.pieces]
+
+
+def _count_log_gap(monkeypatch):
+    calls = []
+    real = kernel.log_gap
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(kernel, "log_gap", counted)
+    return calls
+
+
+class TestPointHandover:
+    """minimize hands its final point to assemble, outside the fields."""
+
+    @pytest.mark.parametrize("n", [1, 3, 10, 50])
+    def test_assemble_reuses_the_converged_point(self, n, monkeypatch):
+        spec = random_convex_spec(np.random.default_rng(500 + n), n)
+        res = minimize(spec)
+        assert res.status is SolveStatus.CONVERGED
+        calls = _count_log_gap(monkeypatch)
+        sol = assemble(spec, res.xi_star)
+        assert calls == []
+        fresh = assemble(spec, tuple(res.xi_star.xi))
+        assert len(calls) == n + 1
+        assert sol.xi_star == fresh.xi_star
+        assert _piece_bits(sol) == _piece_bits(fresh)
+
+    def test_other_inputs_take_their_strips_anew(self, monkeypatch):
+        res = minimize(THREE)
+        want = _piece_bits(assemble(THREE, tuple(res.xi_star.xi)))
+        twin = ProblemSpec(u=THREE.u, a=THREE.a, k=THREE.k, d=THREE.d)
+        assert twin == THREE and twin is not THREE
+        calls = _count_log_gap(monkeypatch)
+        for spec, fronts in (
+            (THREE, FreeBoundaries(res.xi_star.xi)),
+            (THREE, dataclasses.replace(res.xi_star)),
+            (twin, res.xi_star),
+        ):
+            del calls[:]
+            assert _piece_bits(assemble(spec, fronts)) == want
+            assert len(calls) == THREE.n + 1
+
+    def test_fields_ignore_the_point(self):
+        res = minimize(THREE)
+        plain = FreeBoundaries(res.xi_star.xi)
+        assert res.xi_star._point.fronts == list(plain.xi)
+        assert not hasattr(plain, "_point")
+        assert res.xi_star == plain
+        assert repr(res.xi_star) == repr(plain)
+        assert hash(res.xi_star) == hash(plain)
+        assert dataclasses.asdict(res.xi_star) == dataclasses.asdict(plain)
+        other = dataclasses.replace(res, xi_star=plain)
+        assert res == other
+        assert repr(res) == repr(other)
+        assert hash(res) == hash(other)
+        assert dataclasses.asdict(res) == dataclasses.asdict(other)
+
+    def test_solve_result_survives_pickle(self):
+        res = minimize(THREE)
+        back = pickle.loads(pickle.dumps(res))
+        assert back == res
+        assert repr(back) == repr(res)
+        assert _piece_bits(assemble(THREE, back.xi_star)) == _piece_bits(
+            assemble(THREE, res.xi_star)
+        )
 
 
 class TestProfile:
