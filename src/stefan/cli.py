@@ -36,7 +36,7 @@ __all__ = ["main", "load_config", "ConfigError"]
 # ProblemSpec field -> config key
 _ARRAY_KEYS = {"u": "temperatures", "a": "diffusivities",
                "k": "conductivities", "d": "stefan_numbers"}
-_SOLVER_KEYS = ("grad_tol", "max_iter", "xi_max", "boundary_fraction", "damping_min")
+_SOLVER_KEYS = tuple(f.name for f in dataclasses.fields(SolveOptions))
 _VALIDATE_SAMPLES = 33
 
 _EXIT_BY_STATUS = {
@@ -149,12 +149,7 @@ def cmd_solve(args) -> int:
     }
     if result.status is SolveStatus.CONVERGED:
         report = validate(assemble(spec, result.xi_star), _VALIDATE_SAMPLES)
-        payload["residuals"] = {
-            "max_ode_residual": report.max_ode_residual,
-            "max_stefan_residual": report.max_stefan_residual,
-            "max_interface_jump": report.max_interface_jump,
-            "samples": report.samples,
-        }
+        payload["residuals"] = dataclasses.asdict(report)
     print(json.dumps(payload, indent=2))
     return _EXIT_BY_STATUS[result.status]
 

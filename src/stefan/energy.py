@@ -158,6 +158,11 @@ class FreeBoundaries:
     def __iter__(self):
         return iter(self.xi)
 
+    def __reduce__(self):
+        # pickles and copies carry xi alone, not a solve's _point, and
+        # are validated again when rebuilt
+        return (FreeBoundaries, (self.xi,))
+
 
 Fronts = Union[FreeBoundaries, Sequence[float]]
 

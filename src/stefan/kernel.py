@@ -163,33 +163,22 @@ def _erfc(x):
 def _erfcx_cf(x):
     """exp(x^2) erfc(x) by the Laplace continued fraction, for x >= 6."""
     # modified Lentz on f = x + K(j/2 / x); for x > 0 every c and d is
-    # positive, so neither needs the usual guard against zero
+    # positive, so neither needs the usual guard against zero.  The
+    # fraction has converged at the first factor within one ulp of 1:
+    # for some large x the factors settle one ulp off 1 and never reach
+    # it, and multiplying those in only adds rounding.
     f = x
     c = x
     d = 0.0
-    # For some large x the factor delta settles one ulp off 1 and never
-    # becomes exactly 1.  The fraction has then converged to resolution:
-    # f at the first such factor is the answer if the iteration cap is
-    # hit.  Every argument whose factor reaches 1 returns at that term.
-    f_resolved = None
     for j in range(1, 500):
         num = 0.5 * j
         d = 1.0 / (x + num * d)
         c = x + num / c
         delta = c * d
         f *= delta
-        if delta == 1.0:
-            return 1.0 / (_SQRT_PI * f)
-        if f_resolved is None and abs(delta - 1.0) <= _CF_RESOLUTION:
-            f_resolved = f
-    return 1.0 / (_SQRT_PI * (f if f_resolved is None else f_resolved))
-
-
-def _upper(x):
-    # 1 - cdf(x) for x >= 0, safe at +inf
-    if x == _INF:
-        return 0.0
-    return 0.5 * _erfc(0.5 * x)
+        if abs(delta - 1.0) <= _CF_RESOLUTION:
+            break
+    return 1.0 / (_SQRT_PI * f)
 
 
 def _log_upper(x):
@@ -372,12 +361,12 @@ def log_gap(a: float, b: float) -> float:
         if step < 0.0:
             return la + math.log(-math.expm1(step))
     elif a >= 0.0:
-        half_gap = 0.5 * (_erfc(0.5 * a) - (0.0 if b == _INF else _erfc(0.5 * b)))
+        half_gap = 0.5 * (_erfc(0.5 * a) - _erfc(0.5 * b))
         if half_gap > 0.0:
             return math.log(half_gap)
     else:
         # a < 0 < b: two nonnegative halves, no cancellation
-        missing = _upper(b) + _upper(-a)  # equals 1 - gap
+        missing = 0.5 * _erfc(0.5 * b) + 0.5 * _erfc(-0.5 * a)  # equals 1 - gap
         if missing < 0.5:
             return math.log1p(-missing)
         half_gap = 0.5 * (_erf(0.5 * b) + _erf(-0.5 * a))

@@ -171,27 +171,14 @@ def _doublings_past(x, damping_min):
 
 
 def _damped_step(g, diag, off, damping_min):
-    """Damped Newton direction from the Hessian bands; see newton_step.
+    """Damped Newton direction from the Hessian bands, on the schedule of
+    newton_step.
 
     Returns (p, lam, slope), where slope is the g.p that accepted the
-    step, so the caller need not form it again.
-
-    The schedule is lam = 0, then lam_k = damping_min * 2**k for
-    k = 0, 1, ...; lam_k is usable when all pivots of T + lam_k*I are
-    positive and its direction descends (or g = 0, or lam_k is past the
-    Gershgorin bound).  Instead of walking k upward, the least usable k
-    is bisected between k = -1 (lam = 0, which failed) and the least k
-    past the bound, where T + lam_k*I is strictly diagonally dominant.
-    Usability is monotone in lam in exact arithmetic; wherever it is in
-    floating point too, this gives the walk's answer bit for bit, from a
-    few factorizations instead of one per doubling.
-
-    The first probe is the largest k with lam_k <= -d_k / |v|^2, where
-    d_k is the first failed undamped pivot and v = L^-T e_k: v^T T v =
-    d_k, so that lam_k leaves T + lam_k*I indefinite and is all but
-    certain to fail.  It is probed, not assumed, and only when it lies
-    above the midpoint, so rounding in d_k cannot change the answer nor
-    cost more factorizations than plain bisection.
+    step, so the caller need not form it again.  Rounding can push the
+    pivots of T + lam*I below zero even past the Gershgorin bound; the
+    bisection never tries that bound's own exponent, so the schedule then
+    keeps doubling from it until lam overflows.
     """
     n = len(diag)
     if not (all(map(math.isfinite, diag)) and all(map(math.isfinite, off))):
@@ -202,10 +189,6 @@ def _damped_step(g, diag, off, damping_min):
         slope = _dot(g, p)
         if slope < 0.0 or not any(g):
             return p, 0.0, slope
-        guess = -1
-    else:
-        v = _curvature_vector(piv, l, n)
-        guess = _doublings_past(-piv[-1] / sum(t * t for t in v), damping_min) - 1
     shift = max(
         (abs(off[i - 1]) if i > 0 else 0.0)
         + (abs(off[i]) if i < n - 1 else 0.0)
@@ -226,33 +209,20 @@ def _damped_step(g, diag, off, damping_min):
 
     top = _doublings_past(bound, damping_min)
     lo, hi, step = -1, top, None
-    mid = max(min(guess, top - 1), (top - 1) // 2)
     while hi - lo > 1:
+        mid = (lo + hi) // 2
         found = usable(mid)
         if found is None:
             lo = mid
         else:
             hi, step = mid, found
-        mid = (lo + hi) // 2
     if step is not None:
         return step
-    # top itself is still untried; rounding can push the pivots of a
-    # dominant matrix below zero, so keep doubling from there
     for k in range(top, _doublings_past(math.inf, damping_min)):
         step = usable(k)
         if step is not None:
             return step
     raise NewtonBreakdown("damping overflowed without a usable direction")
-
-
-def _curvature_vector(piv, l, n):
-    """v = L^-T e_k at the first pivot d_k <= 0, so that v^T T v = d_k."""
-    k = len(piv) - 1
-    v = [0.0] * n
-    acc = v[k] = 1.0
-    for i in range(k - 1, -1, -1):
-        acc = v[i] = -l[i + 1] * acc
-    return v
 
 
 def _negative_curvature(diag, off):
@@ -265,7 +235,11 @@ def _negative_curvature(diag, off):
     piv, l = _ldl(diag, off, 0.0)
     if _positive(piv, n):
         return None
-    v = _curvature_vector(piv, l, n)
+    k = len(piv) - 1
+    v = [0.0] * n
+    acc = v[k] = 1.0
+    for i in range(k - 1, -1, -1):
+        acc = v[i] = -l[i + 1] * acc
     top = max(abs(t) for t in v)
     return [t / top for t in v]
 
@@ -277,17 +251,16 @@ def newton_step(
 
     Solves (H + lam*I) p = -g by an O(n) LDL^T on the two bands of the
     tridiagonal Hessian.  lam = 0 when the Hessian is already positive
-    definite, otherwise the smallest value of the doubling schedule
-    damping_min * 2**k whose pivots all come out positive and whose
-    direction descends.  The schedule is bounded by the Gershgorin shift
-    max_i(|off_{i-1}| + |off_i| - diag_i): beyond it the damped matrix is
-    positive definite and the direction is returned as it is.  The
-    least such k is bisected below that bound, first probing the
-    Rayleigh quotient of the failed undamped pivot, so a step costs a
-    few factorizations however large lam gets; wherever usability is
-    monotone in lam this is the k that walking up from 0 finds.  The
-    direction satisfies g.p < 0 unless the gradient is zero (then
-    p = 0) or g.p rounds to zero past that bound.  Raises
+    definite and its direction descends.  Otherwise lam is the least
+    damping_min * 2**k, k >= 0, whose pivots all come out positive and
+    whose direction descends, or that lies past the Gershgorin bound
+    max_i(|off_{i-1}| + |off_i| - diag_i), beyond which the damped matrix
+    is positive definite and the direction is returned as it is.  k is
+    bisected between k = -1 (lam = 0) and the least k past that bound,
+    so a step costs a few factorizations however large lam gets;
+    wherever usability is monotone in lam this is the k that walking up
+    from 0 finds.  The direction satisfies g.p < 0 unless the gradient
+    is zero (then p = 0) or g.p rounds to zero past that bound.  Raises
     NewtonBreakdown only when the Hessian is not finite.
     """
     import numpy as np

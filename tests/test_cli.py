@@ -158,6 +158,17 @@ class TestSolve:
         assert payload["residuals"]["max_interface_jump"] == 0.0
         assert payload["wellposedness"]["coercive"] is True
 
+    def test_report_key_order(self, tmp_path, capsys):
+        main(["solve", write_config(tmp_path, SYM_OK)])
+        payload = json.loads(capsys.readouterr().out)
+        assert list(payload) == [
+            "status", "xi_star", "energy", "grad_norm", "iterations",
+            "residuals", "wellposedness",
+        ]
+        assert list(payload["residuals"]) == [
+            "max_ode_residual", "max_stefan_residual", "max_interface_jump", "samples",
+        ]
+
     def test_diverged_exits_3(self, tmp_path, capsys):
         code = main(["solve", write_config(tmp_path, ESCAPING)])
         payload = json.loads(capsys.readouterr().out)
@@ -317,6 +328,28 @@ class TestDump:
         spec2, opts2 = load_config(str(path2))
         assert spec1 == spec2
         assert opts1 == opts2
+
+    def test_every_solver_key_round_trips(self, tmp_path, capsys):
+        solver = {
+            "grad_tol": 3.7e-13,
+            "max_iter": 77,
+            "xi_max": 55.5,
+            "boundary_fraction": 0.75,
+            "damping_min": 1e-10,
+        }
+        want = SolveOptions(**solver)
+        assert all(getattr(want, key) != getattr(SolveOptions(), key) for key in solver)
+        path = write_config(tmp_path, dict(SYM_OK, solver=solver))
+        _, opts = load_config(path)
+        assert opts == want
+        assert main(["dump", path]) == 0
+        dumped = capsys.readouterr().out
+        assert list(json.loads(dumped)["solver"].items()) == list(solver.items())
+        path2 = tmp_path / "dumped.json"
+        path2.write_text(dumped)
+        assert load_config(str(path2))[1] == want
+        assert main(["dump", str(path2)]) == 0
+        assert capsys.readouterr().out == dumped
 
 
 def test_missing_subcommand_is_usage_error(capsys):

@@ -53,13 +53,15 @@ LOG_GAP_POINTS = [
 ]
 
 # (x, value) of the continued fraction for exp(x^2) erfc(x), frozen from
-# the implementation that stopped only on an exact unit factor; these
-# arguments stop after 2, 27, 102 and 470 terms
+# the implementation that stops at the first factor within one ulp of 1.
+# An earlier rule stopped only on an exact unit factor, after 2, 27, 102
+# and 470 terms: it gave the first row too, but erred by 3.6e-15, 1.4e-14
+# and 5.7e-14 on the other three, which err by 1.6e-16 or less here
 ERFCX_CF_POINTS = [
     (14995942.253489535, 3.762281649333965e-08),
-    (442131399.621959, 1.2760676668297348e-09),
-    (851350064.5041283, 6.626998776071961e-10),
-    (1970162107.8384194, 2.8636708690270867e-10),
+    (442131399.621959, 1.2760676668297305e-09),
+    (851350064.5041283, 6.626998776071867e-10),
+    (1970162107.8384194, 2.8636708690269243e-10),
 ]
 
 # (a, b, log_gap(a, b)) frozen bit for bit from the implementation that
@@ -244,6 +246,19 @@ def test_tail_ratio_band():
 def test_erfcx_cf_values_are_unchanged():
     for x, want in ERFCX_CF_POINTS:
         assert _erfcx_cf(x) == want
+
+
+def test_erfcx_cf_against_mpmath():
+    import mpmath
+
+    rng = np.random.default_rng(30)
+    xs = [float(x) for x in np.exp(rng.uniform(math.log(8.0), math.log(1e12), 2000))]
+    worst = 0.0
+    with mpmath.workdps(40):
+        for x in xs + [377870634.1951371]:
+            want = mpmath.erfc(mpmath.mpf(x)) * mpmath.exp(mpmath.mpf(x) ** 2)
+            worst = max(worst, float(abs(_erfcx_cf(x) / want - 1)))
+    assert worst <= 2e-15
 
 
 def test_erfcx_cf_terminates_when_factor_sticks_below_one():

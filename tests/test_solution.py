@@ -123,8 +123,21 @@ class TestPointHandover:
         back = pickle.loads(pickle.dumps(res))
         assert back == res
         assert repr(back) == repr(res)
+        assert not hasattr(back.xi_star, "_point")
         assert _piece_bits(assemble(THREE, back.xi_star)) == _piece_bits(
             assemble(THREE, res.xi_star)
+        )
+        # the pickle carries the fronts alone, not the solve's final point
+        spec = random_convex_spec(np.random.default_rng(50), 50)
+        res = minimize(spec)
+        assert res.status is SolveStatus.CONVERGED
+        blob = pickle.dumps(res)
+        assert len(blob) <= 1000
+        back = pickle.loads(blob)
+        assert back == res
+        assert not hasattr(back.xi_star, "_point")
+        assert _piece_bits(assemble(spec, back.xi_star)) == _piece_bits(
+            assemble(spec, res.xi_star)
         )
 
 
