@@ -131,17 +131,16 @@ def _erfc_tail(x):
 
 
 def _erf(x):
-    ax = abs(x)
-    if ax < 0.84375:
-        if ax < 3.7252902984e-09:  # 2**-28
+    # x >= 0 only, as for _erfc
+    if x < 0.84375:
+        if x < 3.7252902984e-09:  # 2**-28
             return x + _EFX * x
         return x + x * _erf_small(x * x)
-    sign = -1.0 if x < 0.0 else 1.0
-    if ax < 1.25:
-        return sign * (_ERX + _erf_mid(ax - 1.0))
-    if ax >= 6.0:
-        return sign  # |erf| - 1 below one ulp
-    return sign * (1.0 - _erfc_tail(ax))
+    if x < 1.25:
+        return _ERX + _erf_mid(x - 1.0)
+    if x >= 6.0:
+        return 1.0  # erf - 1 below one ulp
+    return 1.0 - _erfc_tail(x)
 
 
 def _erfc(x):

@@ -25,6 +25,7 @@ decrease of the gradient instead.
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -42,6 +43,7 @@ from .energy import (
     check_wellposedness,
     energy,
 )
+from .solution import _flux_balances
 
 if TYPE_CHECKING:
     import numpy as np
@@ -311,6 +313,39 @@ def _default_start(spec: ProblemSpec) -> _Point:
         return _Point(spec, [(i - 0.5 * (n + 1)) * abar for i in range(1, n + 1)])
 
 
+def _line_search(spec, point, p, slope, ceiling, flat_ok, fraction):
+    """Backtrack along p from point to an accepted trial.
+
+    Returns (trial, flat), or None when no trial is accepted.  A trial
+    is accepted on sufficient decrease to an energy below ceiling, or,
+    when the energy is flat at machine resolution and flat_ok, on a
+    strict decrease of the gradient's max-norm (flat = True).  A trial
+    whose strips collapse once scaled is infeasible and is backtracked.
+    """
+    x, f = point.fronts, point.energy
+    alpha = min(1.0, _boundary_cap(x, p, fraction))
+    flat_tol = 8.0 * _EPS * max(1.0, abs(f))
+    while alpha > 1e-20:
+        xt = [xi + alpha * pi for xi, pi in zip(x, p)]
+        if xt != x:
+            try:
+                trial = _Point(spec, xt)
+            except InfeasiblePoint:
+                pass  # a strip empty once scaled: step shorter
+            else:
+                ft = trial.energy
+                if ft <= f + _ARMIJO_C * alpha * slope and ft < ceiling:
+                    return trial, False
+                if abs(ft - f) <= flat_tol:
+                    # Energy is flat at machine resolution; let the
+                    # gradient decide whether this step makes progress.
+                    if flat_ok and trial.grad_norm() < point.grad_norm():
+                        return trial, True
+                    return None
+        alpha *= _BACKTRACK
+    return None
+
+
 def minimize(
     spec: ProblemSpec,
     opts: Optional[SolveOptions] = None,
@@ -323,37 +358,38 @@ def minimize(
     around the origin if those fronts do not resolve) unless an explicit
     feasible start is given.  An explicit start is validated as in
     ``energy``.  Feasibility is then tested only inside ``energy._Point``,
-    whose first strip pass checks that every scaled strip is nonempty: a
-    line-search trial whose distinct fronts round to one scaled value far
-    out is infeasible and is backtracked, not an error.  A trial costs
-    that one pass, which gives its energy; the accepted trial gets a
-    second, which gives the gradient, its max-norm and the two bands of
-    the tridiagonal Hessian together.  The Newton system is solved by an
-    O(n) LDL^T on those bands, damped as in ``newton_step``.  Accepted
-    iterates decrease the energy strictly and stay inside the
-    feasibility cone.  Termination:
+    whose first strip pass checks that every scaled strip is nonempty.
 
-    Converged      max-norm of the gradient at or below opts.grad_tol and
-                   a positive definite Hessian (all undamped LDL^T
-                   pivots positive)
+    Each pass of the loop takes a direction, searches along it, and then
+    exits or goes on.  Every exit sets the status and leaves the loop;
+    one result is built after it.
+
+    Direction.  At a point whose gradient max-norm is at or below
+    opts.grad_tol, the undamped LDL^T of the tridiagonal Hessian either
+    certifies a minimum (all pivots positive) or, at its first pivot
+    d_k <= 0, gives v = L^-T e_k, whose curvature v^T H v is d_k, signed
+    so that g.v <= 0: a small gradient at a saddle is not a solution.
+    Elsewhere the direction is the damped Newton step of ``newton_step``.
+
+    Line search.  ``_line_search`` backtracks from the longest step that
+    goes boundary_fraction of the way to the cone boundary.  A trial
+    costs one strip pass, which gives its energy; the accepted trial
+    gets a second, which gives the gradient, its max-norm and both
+    Hessian bands.  Once energy differences fall below machine
+    resolution, sufficient-decrease tests stop meaning anything, so at
+    most 8 flat steps per solve are accepted, each on a strict decrease
+    of the gradient's max-norm.  A flat step counts as an iteration but
+    gets no trace record, so trace energies are strictly decreasing.
+
+    Exits:
+
+    Converged      the loop head certifies the point; this is also the
+                   last test once opts.max_iter steps are used up
     Diverged       the data fail the coercivity criterion and an
                    iterate left [-xi_max, xi_max]; decided at the first
                    such iterate, by one call to ``check_wellposedness``
-    MaxIterations  neither of the above within opts.max_iter steps, or
-                   no further certifiable progress
-
-    A point with a small gradient but a pivot d_k <= 0 is a saddle or
-    worse, not a solution: the next step then goes along
-    v = L^-T e_k, whose curvature v^T H v is d_k, signed so that
-    g.v <= 0 and capped like any other step.
-
-    Once energy differences fall below machine resolution,
-    sufficient-decrease tests stop meaning anything.  A bounded run of
-    at most 8 such flat Newton steps per solve is then accepted, each on
-    a strict decrease of the gradient's max-norm.  A flat step changes
-    the energy by at most a few representable steps and gets no trace
-    record of its own (it still counts as an iteration), so trace
-    energies are strictly decreasing by construction.
+    MaxIterations  opts.max_iter steps used up, a damped direction that
+                   does not descend, or no trial accepted
 
     opts.xi_max only matters on data that are not coercive.  Coercive
     data have a minimizer, so an iterate outside the box keeps going and
@@ -368,84 +404,61 @@ def minimize(
         point = _default_start(spec)
     else:
         point = _Point(spec, list(_fronts(spec, start)))
-    x = point.fronts
-    f = point.energy
-    g = point.gradient()
-    gn = point.grad_norm()
-    trace = [IterationRecord(0, f, gn)]
+    trace = [IterationRecord(0, point.energy, point.grad_norm())]
     iterations = 0
     flat_left = _FLAT_STEPS
-    certified = False
     coercive = None  # decided at the first escape, if there is one
 
-    for it in range(1, opts.max_iter + 1):
-        if gn <= opts.grad_tol:
+    while True:
+        p = None
+        if point.grad_norm() <= opts.grad_tol:
             p = _negative_curvature(*point.bands())
             if p is None:
-                certified = True
+                status = SolveStatus.CONVERGED
                 break
-            if _dot(g, p) > 0.0:
-                p = [-v for v in p]
-            slope = _dot(g, p)
+        if iterations == opts.max_iter:
+            status = SolveStatus.MAX_ITERATIONS
+            break
+        if p is None:
+            p, _, slope = _damped_step(point.gradient(), *point.bands(), opts.damping_min)
+            if slope >= 0.0:
+                # gradient is numerically zero; nothing to gain
+                status = SolveStatus.MAX_ITERATIONS
+                break
         else:
-            p, _, slope = _damped_step(g, *point.bands(), opts.damping_min)
-        if slope >= 0.0 and gn > opts.grad_tol:
-            break  # gradient is numerically zero; nothing to gain
-        alpha = min(1.0, _boundary_cap(x, p, opts.boundary_fraction))
-        flat_tol = 8.0 * _EPS * max(1.0, abs(f))
-        accepted = flat = False
-        while alpha > 1e-20:
-            xt = [xi + alpha * pi for xi, pi in zip(x, p)]
-            if xt != x:
-                try:
-                    trial = _Point(spec, xt)
-                except InfeasiblePoint:
-                    pass  # a strip empty once scaled: step shorter
-                else:
-                    ft = trial.energy
-                    # below the last recorded energy too, after flat steps
-                    if ft <= f + _ARMIJO_C * alpha * slope and ft < min(f, trace[-1].energy):
-                        accepted = True
-                        break
-                    if abs(ft - f) <= flat_tol:
-                        # Energy is flat at machine resolution; let the
-                        # gradient decide whether this step makes progress.
-                        flat = flat_left > 0 and trial.grad_norm() < gn
-                        break
-            alpha *= _BACKTRACK
-        if not (accepted or flat):
-            break  # stalled by roundoff; report honestly below
-
-        x, f, point = xt, ft, trial
-        g = point.gradient()
-        gn = point.grad_norm()
-        iterations = it
+            slope = _dot(point.gradient(), p)
+            if slope > 0.0:
+                p, slope = [-v for v in p], -slope
+        # below the last recorded energy too, after flat steps
+        ceiling = min(point.energy, trace[-1].energy)
+        step = _line_search(
+            spec, point, p, slope, ceiling, flat_left > 0, opts.boundary_fraction
+        )
+        if step is None:
+            status = SolveStatus.MAX_ITERATIONS  # stalled by roundoff
+            break
+        point, flat = step
+        iterations += 1
         if flat:
             flat_left -= 1
             continue
-        trace.append(IterationRecord(it, f, gn))
-
+        trace.append(IterationRecord(iterations, point.energy, point.grad_norm()))
+        x = point.fronts
         # x is increasing, so its ends hold the largest |x_i|
         if -x[0] > opts.xi_max or x[-1] > opts.xi_max:
             if coercive is None:
                 coercive = check_wellposedness(spec).coercive
             if not coercive:
-                return SolveResult(
-                    SolveStatus.DIVERGED, None, f, gn, iterations, tuple(trace)
-                )
-    else:
-        # max_iter used up: the last iterate is not yet certified
-        certified = gn <= opts.grad_tol and _negative_curvature(*point.bands()) is None
+                status = SolveStatus.DIVERGED
+                break
 
-    if certified:
-        fronts = FreeBoundaries(tuple(x))
+    xi_star = None
+    if status is SolveStatus.CONVERGED:
+        xi_star = FreeBoundaries(tuple(point.fronts))
         # not a field, so eq, repr, hash and asdict ignore it
-        object.__setattr__(fronts, "_point", point)
-        return SolveResult(
-            SolveStatus.CONVERGED, fronts, f, gn, iterations, tuple(trace)
-        )
+        object.__setattr__(xi_star, "_point", point)
     return SolveResult(
-        SolveStatus.MAX_ITERATIONS, None, f, gn, iterations, tuple(trace)
+        status, xi_star, point.energy, point.grad_norm(), iterations, tuple(trace)
     )
 
 
@@ -472,21 +485,16 @@ def single_front_bisection(
 ) -> float:
     """Reference root of the single-interface flux balance by bisection.
 
-    Deliberately independent of the Newton machinery: transcribes the
-    flux balance with plain cdf/pdf quotients and halves the bracket
-    until it is narrower than tol.
+    Deliberately independent of the Newton machinery: evaluates the
+    literal balance behind ``stefan_residuals`` (plain cdf/pdf quotients,
+    upper tails differenced) and halves the bracket until it is narrower
+    than tol.
     """
     if spec.n != 1:
         raise ValueError("bisection reference handles exactly one interface")
-    u0, u1, u2 = spec.u
-    a0, a1 = spec.a
-    k0, k1 = spec.k
-    d1 = spec.d[0]
 
     def balance(t: float) -> float:
-        right = k1 * (u2 - u1) * kernel.pdf(t / a1) / (a1 * (1.0 - kernel.cdf(t / a1)))
-        left = k0 * (u1 - u0) * kernel.pdf(t / a0) / (a0 * kernel.cdf(t / a0))
-        return 0.5 * d1 * t + right - left
+        return _flux_balances(spec, (t,))[0]
 
     lo, hi = float(bracket[0]), float(bracket[1])
     if not lo < hi:
@@ -540,34 +548,18 @@ def grid_search(
     for lo, hi in box:
         if not lo < hi:
             raise ValueError("box ranges must be ordered")
-        axes.append(np.linspace(lo, hi, points_per_axis))
+        axes.append(np.linspace(lo, hi, points_per_axis).tolist())
 
-    n = spec.n
     best_e = math.inf
     best: Optional[Tuple[float, ...]] = None
-    prefix = [0.0] * n
-
-    def descend(depth: int, floor: float):
-        nonlocal best_e, best
-        for v in axes[depth]:
-            fv = float(v)
-            if fv <= floor:
-                continue
-            prefix[depth] = fv
-            if depth + 1 == n:
-                e = energy(spec, tuple(prefix))
-                if e < best_e:
-                    best_e = e
-                    best = tuple(prefix)
-            else:
-                descend(depth + 1, fv)
-
-    descend(0, -math.inf)
+    for xi in itertools.product(*axes):
+        if all(lo < hi for lo, hi in zip(xi, xi[1:])):
+            e = energy(spec, xi)
+            if e < best_e:
+                best_e, best = e, xi
     if best is None:
         raise ValueError("no strictly increasing tuple fits in the grid")
-    on_boundary = any(
-        best[i] == axes[i][0] or best[i] == axes[i][-1] for i in range(n)
-    )
+    on_boundary = any(v == axis[0] or v == axis[-1] for v, axis in zip(best, axes))
     return GridSearchResult(
         xi=FreeBoundaries(best), energy=best_e, on_boundary=on_boundary
     )

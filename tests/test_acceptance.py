@@ -138,8 +138,8 @@ def test_criterion_5_oracle_equivalence():
         spec = random_convex_spec(rng, 1)
         res = minimize(spec)
         assert res.status is SolveStatus.CONVERGED
-        # the naive balance loses the far tail beyond |t/a| ~ 10, so
-        # keep the bracket where its plain quotients stay representable
+        # the literal balance differences upper tails, so only plain
+        # cdf underflow past |t/a| ~ 55 limits it; (-6, 6) holds every root
         root = single_front_bisection(spec, (-6.0, 6.0))
         assert abs(root - res.xi_star.xi[0]) <= 1e-8
     cell = 6.0 / 300.0

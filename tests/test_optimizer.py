@@ -399,7 +399,7 @@ class TestMinimize:
         want = minimize(THREE).xi_star.xi
         assert res.xi_star.xi == pytest.approx(want, abs=1e-10)
 
-    def test_far_start_with_unresolved_strips_does_not_raise(self):
+    def test_far_start_with_unresolved_strips_does_not_raise(self, monkeypatch):
         # far out, distinct fronts can round to one scaled value (here
         # x/0.8 at 1e6); such trials are infeasible, not a log_gap error
         x = [1e6, math.nextafter(1e6, math.inf)]
@@ -410,6 +410,24 @@ class TestMinimize:
             _Point(spec, x)
         res = minimize(THREE, SolveOptions(xi_max=1.0), start=ray_point(THREE, 2, 1e6))
         assert res.status is not SolveStatus.DIVERGED
+        # at 1e15 the line search does meet such a trial, and goes on
+        # to a shorter step
+        trials, raised = [], []
+
+        def counting(spec, fronts):
+            trials.append(list(fronts))
+            try:
+                return _Point(spec, fronts)
+            except InfeasiblePoint:
+                raised.append(len(trials))
+                raise
+
+        monkeypatch.setattr(stefan.optimize, "_Point", counting)
+        res = minimize(THREE, SolveOptions(xi_max=1.0), start=ray_point(THREE, 2, 1e15))
+        assert len(raised) == 1
+        assert raised[0] < len(trials)
+        assert res.status is SolveStatus.MAX_ITERATIONS
+        assert res.iterations == 1
 
     def test_noncoercive_data_can_have_a_local_minimum(self):
         # coercivity guarantees a minimizer; without it the solver may
@@ -455,6 +473,44 @@ class TestMinimize:
         last = minimize(THREE, SolveOptions(max_iter=res.iterations))
         assert last == res
         assert len(calls) == 1
+
+    def test_curvature_step_is_turned_downhill(self, monkeypatch):
+        # SINK is configs/supercooled_noncoercive.json.  Just left of its
+        # saddle at 0 the gradient is +1.1e-15, below grad_tol, so the
+        # first direction is the curvature vector [1.0], which climbs;
+        # it is flipped, and the full step lands at -1 - 1e-14.
+        g = gradient(SINK, (-1e-14,))[0]
+        assert 0.0 < g <= SolveOptions().grad_tol
+        directions, trials = [], []
+        curvature = stefan.optimize._negative_curvature
+
+        def recording_curvature(diag, off):
+            v = curvature(diag, off)
+            directions.append(v)
+            return v
+
+        def recording_point(spec, fronts):
+            trials.append(list(fronts))
+            return _Point(spec, fronts)
+
+        monkeypatch.setattr(stefan.optimize, "_negative_curvature", recording_curvature)
+        monkeypatch.setattr(stefan.optimize, "_Point", recording_point)
+        res = minimize(SINK, start=(-1e-14,))
+        assert directions == [[1.0]]
+        assert trials[1] == [-1e-14 - 1.0]
+        assert res.status is SolveStatus.DIVERGED
+        assert res.iterations == 4
+
+    def test_roundoff_stall_ends_max_iterations(self):
+        # At n = 200 no trial is accepted once max|g| is near 2e-12: the
+        # line search stalls long before max_iter.  ROADMAP item 1 will
+        # give this exit its own status on purpose; until then it is
+        # reported as MaxIterations, without fronts.
+        res = minimize(random_convex_spec(np.random.default_rng(0), 200))
+        assert res.status is SolveStatus.MAX_ITERATIONS
+        assert res.iterations == 8
+        assert res.xi_star is None
+        assert 1e-12 < res.grad_norm <= 3e-12
 
     def test_max_iterations_is_honest(self):
         res = minimize(THREE, SolveOptions(max_iter=1))
@@ -550,6 +606,12 @@ class TestBisection:
         root = single_front_bisection(ASYM, (-5.0, 5.0))
         res = minimize(ASYM)
         assert abs(root - res.xi_star.xi[0]) <= 1e-8
+
+    def test_far_bracket(self):
+        # the balance differences upper tails, so a bracket reaching
+        # t/a = 40 gives the same root
+        root = single_front_bisection(ASYM, (-5.0, 40.0))
+        assert abs(root - single_front_bisection(ASYM, (-5.0, 5.0))) <= 1e-12
 
     def test_requires_sign_change(self):
         with pytest.raises(ValueError):
