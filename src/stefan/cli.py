@@ -12,9 +12,10 @@ and an optional "solver" object whose keys mirror SolveOptions.
 Numbers are printed with shortest round-trip formatting, so dumped
 configs re-parse bit for bit.
 
-Exit codes: 0 success (solve: Converged; check: coercive), 1 bad input
-or unwritable output, 2 check found a non-coercive problem, 3 solve
-Diverged, 4 solve stopped at the iteration limit.
+Exit codes: 0 success (solve: Converged; check: coercive), 1 bad input,
+unwritable output or a Hessian that is not finite, 2 check found a
+non-coercive problem, 3 solve Diverged, 4 solve stopped at the
+iteration limit.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import sys
 from typing import Optional, Tuple
 
 from .energy import InvalidProblem, ProblemSpec, check_wellposedness
-from .optimize import SolveOptions, SolveStatus, minimize
+from .optimize import NewtonBreakdown, SolveOptions, SolveStatus, minimize
 from .solution import assemble, evaluate_profile, validate
 
 __all__ = ["main", "load_config", "ConfigError"]
@@ -99,7 +100,8 @@ def load_config(path: str) -> Tuple[ProblemSpec, SolveOptions]:
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise ConfigError(f"solver key '{key}' must be a number")
             try:
-                fields[key] = int(value) if key == "max_iter" else float(value)
+                # SolveOptions checks that max_iter is whole
+                fields[key] = value if key == "max_iter" else float(value)
             except (ValueError, OverflowError) as exc:
                 raise ConfigError(f"solver key '{key}': {exc}") from exc
         opts = _with_options(opts, fields, "key 'solver'")
@@ -197,13 +199,8 @@ def cmd_profile(args) -> int:
 
 def cmd_dump(args) -> int:
     spec, opts = load_config(args.config)
-    payload = {
-        "temperatures": list(spec.u),
-        "diffusivities": list(spec.a),
-        "conductivities": list(spec.k),
-        "stefan_numbers": list(spec.d),
-        "solver": dataclasses.asdict(opts),
-    }
+    payload = {key: list(getattr(spec, field)) for field, key in _ARRAY_KEYS.items()}
+    payload["solver"] = dataclasses.asdict(opts)
     print(json.dumps(payload, indent=2))
     return 0
 
@@ -244,7 +241,7 @@ def main(argv: Optional[list] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, NewtonBreakdown) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -129,8 +129,10 @@ class ProblemSpec:
         return len(self.d)
 
     def kappa(self, i: int) -> float:
-        """Conductivity rescaled by diffusivity, k_i / a_i^2."""
-        return self.k[i] / (self.a[i] * self.a[i])
+        """Conductivity rescaled by diffusivity, k_i / a_i^2; +inf once a_i^2
+        underflows, as an overflowing quotient gives."""
+        a2 = self.a[i] * self.a[i]
+        return self.k[i] / a2 if a2 > 0.0 else math.inf
 
 
 @dataclass(frozen=True)

@@ -146,8 +146,6 @@ def _erf(x):
 def _erfc(x):
     # x >= 0 only; callers handle reflection
     if x < 0.84375:
-        if x < 1.3877787807814457e-17:  # 2**-56; erf's 2**-28 is too coarse here
-            return 1.0 - x
         y = _erf_small(x * x)
         if x < 0.25:
             return 1.0 - (x + x * y)
@@ -325,8 +323,7 @@ def log_gap(a: float, b: float) -> float:
 
     with the probabilists' Hermite polynomials He, summed for k = 1..4
     (relative truncation error below 7.5e-17), so the log is
-    log(h) + log_pdf(m) + log1p(series).  Any strip whose differenced
-    gap still rounds to zero or below takes log(h) + log_pdf(m).
+    log(h) + log_pdf(m) + log1p(series).
     """
     if not a < b:
         if a != a or b != b:
@@ -350,28 +347,25 @@ def log_gap(a: float, b: float) -> float:
                 / 23781703680.0))))
             # the middle term is log_pdf(m)
             return math.log(h) + (-0.25 * w - _LOG_2_SQRT_PI) + math.log1p(series)
+    # Past the series a strip is wide, and each differenced gap below
+    # keeps its sign.  In the tail (a >= 6) the true log-tail step is at
+    # most -h m / 2 < -0.1; where one ulp of a exceeds the narrow limit
+    # (a past about 3e7) it is still more than one ulp of z^2 = (x/2)^2,
+    # and both roundings, z*z and then log(erfcx) - z*z, are monotone, so
+    # the two log-tails differ by an ulp or more.  In the central band
+    # (0 <= a < 6) the two erfc values differ by far more than an ulp.  A
+    # straddling strip is narrow exactly when h <= 0.2, since |m| <= h/2,
+    # so a wide one has a half of at least erf(0.05).
     if a >= _TAIL_SWITCH:
-        # both deep in the right tail
         la = _log_upper(a)
         if la == _NEG_INF:
             # a past 2.7e154: the gap is below the smallest double's log
             return la
-        step = _log_upper(b) - la
-        if step < 0.0:
-            return la + math.log(-math.expm1(step))
-    elif a >= 0.0:
-        half_gap = 0.5 * (_erfc(0.5 * a) - _erfc(0.5 * b))
-        if half_gap > 0.0:
-            return math.log(half_gap)
-    else:
-        # a < 0 < b: two nonnegative halves, no cancellation
-        missing = 0.5 * _erfc(0.5 * b) + 0.5 * _erfc(-0.5 * a)  # equals 1 - gap
-        if missing < 0.5:
-            return math.log1p(-missing)
-        half_gap = 0.5 * (_erf(0.5 * b) + _erf(-0.5 * a))
-        if half_gap > 0.0:
-            return math.log(half_gap)
-    # The differenced gap rounded to zero or below: a far-tail strip too
-    # wide for the series.  A strip of width h around m has log gap
-    # log(h) + log_pdf(m), to a relative error of h^2 |m^2/4 - 1/2| / 24.
-    return math.log(h) + log_pdf(0.5 * (a + b))
+        return la + math.log(-math.expm1(_log_upper(b) - la))
+    if a >= 0.0:
+        return math.log(0.5 * (_erfc(0.5 * a) - _erfc(0.5 * b)))
+    # a < 0 < b: two nonnegative halves, no cancellation
+    missing = 0.5 * _erfc(0.5 * b) + 0.5 * _erfc(-0.5 * a)  # equals 1 - gap
+    if missing < 0.5:
+        return math.log1p(-missing)
+    return math.log(0.5 * (_erf(0.5 * b) + _erf(-0.5 * a)))

@@ -83,8 +83,9 @@ class SolveOptions:
     def __post_init__(self):
         if not self.grad_tol > 0.0:
             raise ValueError("grad_tol must be positive")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
+        if not (self.max_iter % 1 == 0 and self.max_iter >= 1):
+            raise ValueError("max_iter must be a whole number, at least 1")
+        object.__setattr__(self, "max_iter", int(self.max_iter))
         if not self.xi_max > 0.0:
             raise ValueError("xi_max must be positive")
         if not 0.0 < self.boundary_fraction < 1.0:
@@ -185,22 +186,10 @@ def _damped_step(g, diag, off, damping_min):
     n = len(diag)
     if not (all(map(math.isfinite, diag)) and all(map(math.isfinite, off))):
         raise NewtonBreakdown("Hessian is not finite")
-    piv, l = _ldl(diag, off, 0.0)
-    if _positive(piv, n):
-        p = _ldl_solve(piv, l, g)
-        slope = _dot(g, p)
-        if slope < 0.0 or not any(g):
-            return p, 0.0, slope
-    shift = max(
-        (abs(off[i - 1]) if i > 0 else 0.0)
-        + (abs(off[i]) if i < n - 1 else 0.0)
-        - diag[i]
-        for i in range(n)
-    )
-    bound = max(shift, 0.0)
+    bound = math.inf  # lam = 0 is never past the Gershgorin bound
 
     def usable(k):
-        lam = math.ldexp(damping_min, k)
+        lam = math.ldexp(damping_min, k) if k >= 0 else 0.0
         piv, l = _ldl(diag, off, lam)
         if _positive(piv, n):
             p = _ldl_solve(piv, l, g)
@@ -209,6 +198,16 @@ def _damped_step(g, diag, off, damping_min):
                 return p, lam, slope
         return None
 
+    step = usable(-1)
+    if step is not None:
+        return step
+    shift = max(
+        (abs(off[i - 1]) if i > 0 else 0.0)
+        + (abs(off[i]) if i < n - 1 else 0.0)
+        - diag[i]
+        for i in range(n)
+    )
+    bound = max(shift, 0.0)
     top = _doublings_past(bound, damping_min)
     lo, hi, step = -1, top, None
     while hi - lo > 1:

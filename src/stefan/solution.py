@@ -80,11 +80,9 @@ def assemble(spec: ProblemSpec, xi_star: Fronts) -> SelfSimilarSolution:
     with the same result bit for bit.
     """
     point = getattr(xi_star, "_point", None)
-    if point is not None and point.spec is spec:
-        fronts = xi_star.xi
-    else:
-        fronts = _fronts(spec, xi_star)
-        point = _Point(spec, fronts)
+    if point is None or point.spec is not spec:
+        point = _Point(spec, _fronts(spec, xi_star))
+    fronts = tuple(point.fronts)
     lo, hi, lg = point.lo, point.hi, point.lg
     pieces = tuple(
         Piece(

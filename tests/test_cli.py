@@ -2,10 +2,15 @@
 formats, and the dump round-trip."""
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import stefan
 from stefan import SolveOptions
 from stefan.cli import ConfigError, load_config, main
 
@@ -90,6 +95,15 @@ class TestLoadConfig:
         mutate(payload)
         with pytest.raises(ConfigError, match=fragment):
             load_config(write_config(tmp_path, payload))
+
+    def test_rejects_fractional_max_iter(self, tmp_path, capsys):
+        path = write_config(tmp_path, dict(SYM_OK, solver={"max_iter": 2.5}))
+        with pytest.raises(ConfigError, match="max_iter"):
+            load_config(path)
+        assert main(["dump", path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and "max_iter" in captured.err
 
     def test_rejects_nan(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -350,6 +364,54 @@ class TestDump:
         assert load_config(str(path2))[1] == want
         assert main(["dump", str(path2)]) == 0
         assert capsys.readouterr().out == dumped
+
+    def test_whole_float_max_iter_dumps_as_an_integer(self, tmp_path, capsys):
+        path = write_config(tmp_path, dict(SYM_OK, solver={"max_iter": 50.0}))
+        _, opts = load_config(path)
+        assert type(opts.max_iter) is int and opts.max_iter == 50
+        assert main(["dump", path]) == 0
+        assert '"max_iter": 50,' in capsys.readouterr().out
+
+
+class TestInfiniteLoad:
+    """Loads k / a^2 that are infinite: a^2 underflowing to 0, or the
+    quotient overflowing.  The well-posedness report is computed; a solve
+    meets a Hessian that is not finite and exits 1 with a message."""
+
+    CONFIGS = [
+        dict(SYM_OK, diffusivities=[1e-170, 1.0], stefan_numbers=[0.3]),
+        dict(SYM_OK, diffusivities=[1e-160, 1.0], stefan_numbers=[0.3]),
+        dict(SYM_OK, diffusivities=[1e-10, 1.0], conductivities=[1e300, 1.0],
+             stefan_numbers=[0.3]),
+    ]
+
+    @pytest.mark.parametrize("cfg", CONFIGS)
+    def test_check_reports_and_solve_exits_1(self, tmp_path, capsys, cfg):
+        path = write_config(tmp_path, cfg)
+        assert main(["check", path]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["S_upper"] == [math.inf]
+        assert report["coercive"] is True
+        profile = ["profile", path, "--t", "1", "--x-min", "-1", "--x-max", "1",
+                   "--samples", "3", "--out", str(tmp_path / "p.csv")]
+        for argv in (["solve", path], profile):
+            assert main(argv) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == "error: Hessian is not finite\n"
+
+    def test_solve_process_prints_no_traceback(self, tmp_path):
+        env = dict(os.environ)
+        src = str(Path(stefan.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        path = write_config(tmp_path, self.CONFIGS[0])
+        proc = subprocess.run(
+            [sys.executable, "-m", "stefan", "solve", path],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error:")
+        assert "Traceback" not in proc.stderr
 
 
 def test_missing_subcommand_is_usage_error(capsys):

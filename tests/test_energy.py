@@ -10,6 +10,7 @@ from stefan import (
     FreeBoundaries,
     InfeasiblePoint,
     InvalidProblem,
+    NewtonBreakdown,
     ProblemSpec,
     assemble,
     check_wellposedness,
@@ -72,6 +73,18 @@ class TestProblemSpecValidation:
         spec = ProblemSpec(u=(-1, 0, 1), a=(2.0, 4.0), k=(3.0, 5.0), d=(0.0,))
         assert spec.kappa(0) == 3.0 / 4.0
         assert spec.kappa(1) == 5.0 / 16.0
+
+    def test_kappa_is_infinite_once_a_squared_underflows(self):
+        # a^2 is 0 below a = 1.6e-162; the load is then +inf, as when
+        # k / a^2 overflows, and a solve stops at the infinite Hessian
+        spec = ProblemSpec(u=(-1, 0, 1), a=(1e-170, 1), k=(1, 1), d=(0.3,))
+        assert spec.kappa(0) == math.inf
+        assert spec.kappa(1) == 1.0
+        rep = check_wellposedness(spec)
+        assert rep.S_upper == (math.inf,)
+        assert rep.coercive
+        with pytest.raises(NewtonBreakdown, match="Hessian is not finite"):
+            minimize(spec)
 
     def test_rejects_degenerate_and_malformed(self):
         with pytest.raises(InvalidProblem):

@@ -14,6 +14,7 @@ from stefan.kernel import (
     _NARROW,
     PDF_PEAK,
     _cdf_inverse,
+    _erfc,
     _erfcx_cf,
     cdf,
     log_gap,
@@ -383,6 +384,51 @@ def test_log_gap_just_past_the_narrow_branch():
         want = _log_gap_reference(a, b)
         assert abs(got - want) <= 32 * EPS * max(1.0, abs(want)), (a, b)
         assert log_gap(-b, -a).hex() == got.hex(), (a, b)
+
+
+def _edge_strips():
+    """Strips at the edge of the midpoint series in every binade 2**e,
+    e = -1074..1023: (x, x + f h) for h = _NARROW / max(1, x) and f = 1,
+    1.25, 1.5 (one ulp wide where f h is below an ulp of x), one-ulp
+    strips, (-x, f _NARROW - x) and (-x, x), and the mirror of each."""
+    strips = []
+    for e in range(-1074, 1024):
+        x = math.ldexp(1.0, e)
+        up = math.nextafter(x, INF)
+        for f in (1.0, 1.25, 1.5):
+            strips.append((x, max(x + f * _NARROW / max(1.0, x), up)))
+            if f * _NARROW - x > -x:
+                strips.append((-x, f * _NARROW - x))
+        strips += [(x, up), (-x, x)]
+    return strips + [(-b, -a) for a, b in strips]
+
+
+def test_log_gap_at_the_edge_of_the_series_in_every_binade():
+    # every differenced gap past the series keeps its sign, so each log
+    # gap is finite, and -inf only where the log-tail's (x/2)^2 overflows
+    strips = _edge_strips()
+    for a, b in strips:
+        near = 0.0 if a < 0.0 < b else min(abs(a), abs(b))
+        got = log_gap(a, b)
+        assert math.isfinite(got) if near < 2.0**513 else got == -INF, (a, b)
+    rng = np.random.default_rng(12)
+    for i in rng.choice(len(strips), 2000, replace=False):
+        a, b = strips[i]
+        if min(abs(a), abs(b)) < 2.0**513:
+            want = _log_gap_reference(a, b)
+            assert abs(log_gap(a, b) - want) <= 32 * EPS * max(1.0, abs(want)), (a, b)
+
+
+def test_log_gap_of_a_straddle_whose_erf_half_rounds_to_one():
+    # _erf(10) takes the x >= 6 return; mpmath: -0.693147180559945309...
+    assert log_gap(-1e-300, 20.0) == math.log(0.5)
+
+
+def test_erfc_is_one_near_zero():
+    rng = np.random.default_rng(13)
+    xs = [0.0, 5e-324] + [float(x) for x in 2.0 ** rng.uniform(-1074.0, -56.0, 1000)]
+    for x in xs:
+        assert _erfc(x) == 1.0, x
 
 
 def test_energy_and_minimize_accept_a_sub_ulp_strip():

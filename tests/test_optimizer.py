@@ -76,6 +76,19 @@ class TestSolveOptions:
         with pytest.raises(ValueError):
             SolveOptions(xi_max=-1.0)
 
+    def test_max_iter_must_be_whole(self):
+        # the iteration count never equals a fractional limit, so it
+        # would never stop the solve
+        spec = random_convex_spec(np.random.default_rng(1), 50)
+        for limit in (2.5, 0.5, math.inf, math.nan):
+            with pytest.raises(ValueError, match="max_iter"):
+                SolveOptions(max_iter=limit)
+        opts = SolveOptions(max_iter=2.0)
+        assert type(opts.max_iter) is int and opts == SolveOptions(max_iter=2)
+        res = minimize(spec, opts)
+        assert res.status is SolveStatus.MAX_ITERATIONS
+        assert res.iterations == 2
+
 
 class TestNewtonStep:
     def test_zero_at_stationary_point(self):
@@ -467,8 +480,8 @@ class TestMinimize:
         res = minimize(THREE)
         assert res.status is SolveStatus.CONVERGED
         assert len(calls) == 1
-        # with the last step on the final iteration, the check after the
-        # loop certifies the same point
+        # with the last step on the final iteration, the loop head
+        # certifies the same point
         del calls[:]
         last = minimize(THREE, SolveOptions(max_iter=res.iterations))
         assert last == res
