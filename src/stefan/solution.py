@@ -125,6 +125,9 @@ def _derivatives(p: Piece, xi: float) -> Tuple[float, float]:
     """(v', v'') of piece p at xi, both from one pdf value."""
     z = xi / p.a
     density = kernel.pdf(z)
+    if density == 0.0:
+        # v'' is a signed zero here; with z = +-inf, z * 0 would be NaN
+        z = math.copysign(1.0, z)
     return p.scale * density / p.a, -0.5 * z * density * p.scale / (p.a * p.a)
 
 

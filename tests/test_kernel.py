@@ -14,7 +14,6 @@ from stefan.kernel import (
     _NARROW,
     PDF_PEAK,
     _cdf_inverse,
-    _erfc,
     _erfcx_cf,
     cdf,
     log_gap,
@@ -70,7 +69,8 @@ ERFCX_CF_POINTS = [
 # both tails, the one-sided central band on either side, gaps straddling
 # zero, infinite ends, signed zeros, and widths from 1e-12 to 1.  The
 # eight narrow rows, (-0.1, 0.1) and the seven of width 1e-3 or less, are
-# frozen from the midpoint series that replaced their differenced gaps
+# frozen from the midpoint series that replaced their differenced gaps,
+# and (-0.5, 0.5) from the erf and erfc of ``math``
 LOG_GAP_BITS = [
     (6.0, 9.0, -11.413519123061457),
     (10.0, 11.0, -27.89883393159802),
@@ -89,7 +89,7 @@ LOG_GAP_BITS = [
     (-INF, -2.0, -2.5427526904931934),
     (-1.3, 0.4, -0.838482923691188),
     (-0.1, 0.1, -2.8757830915184037),
-    (-0.5, 0.5, -1.2861725388804222),
+    (-0.5, 0.5, -1.2861725388804224),
     (-INF, 2.0, -0.08191486288187481),
     (-3.0, INF, -0.017092677825984746),
     (-INF, INF, -0.0),
@@ -374,6 +374,33 @@ def test_log_gap_of_narrow_strips_against_mpmath():
         assert log_gap(-b, -a).hex() == got.hex(), (a, b)
 
 
+def test_cdf_and_wide_central_log_gap_against_mpmath():
+    # the contract that does not depend on the platform's erf and erfc
+    # bits; the worst errors over these draws are 7.8e-17, 1.19 eps and
+    # 0.99 eps, and over 20 000 draws of each kind 8.2e-17, 1.8 eps and
+    # 1.6 eps
+    import mpmath
+
+    rng = np.random.default_rng(21)
+    with mpmath.workdps(50):
+        for x in rng.uniform(-52.0, 52.0, 1000).tolist():
+            want = mpmath.erfc(-mpmath.mpf(x) / 2) / 2
+            assert abs(cdf(x) - want) <= 1e-15, x
+        for x in rng.uniform(-52.0, 0.0, 1000).tolist():
+            want = mpmath.erfc(-mpmath.mpf(x) / 2) / 2
+            assert abs(cdf(x) - want) <= 4 * EPS * want, x
+    # wide strips, widths 0.25 to 4 about midpoints in [-8, 8], that take
+    # the central or the straddling branch on either side of 0
+    mids = rng.uniform(-8.0, 8.0, 400)
+    widths = rng.uniform(0.25, 4.0, 400)
+    strips = [(m - 0.5 * h, m + 0.5 * h) for m, h in zip(mids.tolist(), widths.tolist())]
+    strips = [(a, b) for a, b in strips if min(abs(a), abs(b)) < 6.0 or a < 0.0 < b]
+    assert len(strips) > 300
+    for a, b in strips + [(-b, -a) for a, b in strips]:
+        want = _log_gap_reference(a, b)
+        assert abs(log_gap(a, b) - want) <= 4 * EPS * max(1.0, abs(want)), (a, b)
+
+
 def test_log_gap_just_past_the_narrow_branch():
     # up to 3x the branch's width the gap is differenced again; in the
     # tails that is good to about 13 eps of the log (at most 8.6e-13 over
@@ -420,15 +447,17 @@ def test_log_gap_at_the_edge_of_the_series_in_every_binade():
 
 
 def test_log_gap_of_a_straddle_whose_erf_half_rounds_to_one():
-    # _erf(10) takes the x >= 6 return; mpmath: -0.693147180559945309...
+    # erf(10) rounds to 1 and erf(5e-301) to 5.6e-301, so the sum of the
+    # halves rounds to 1; mpmath: -0.693147180559945309...
     assert log_gap(-1e-300, 20.0) == math.log(0.5)
 
 
 def test_erfc_is_one_near_zero():
+    # erfc(x) rounds to 1 below about 2**-54, so cdf(+-2x) is exactly 1/2
     rng = np.random.default_rng(13)
     xs = [0.0, 5e-324] + [float(x) for x in 2.0 ** rng.uniform(-1074.0, -56.0, 1000)]
     for x in xs:
-        assert _erfc(x) == 1.0, x
+        assert cdf(2.0 * x) == cdf(-2.0 * x) == 0.5, x
 
 
 def test_energy_and_minimize_accept_a_sub_ulp_strip():

@@ -196,6 +196,22 @@ class TestProfile:
                 a = THREE.a[-1]
             assert abs(a * a * c + 0.5 * g * s) <= 1e-12
 
+    def test_derivative_limits(self):
+        sol = assemble(SYM, (0.0,))
+        for xi, zero in [(math.inf, "-0x0.0p+0"), (-math.inf, "0x0.0p+0")]:
+            assert profile_slope(sol, xi) == 0.0
+            assert profile_curvature(sol, xi).hex() == zero
+            assert profile_curvature(sol, math.copysign(1e300, xi)).hex() == zero
+
+    def test_finite_curvature_is_the_closed_form(self, solved_three):
+        # the branch for infinite xi leaves every finite value as it was
+        grid = [float(g) for g in np.linspace(-60.0, 60.0, 241)] + [-1e300, 1e300]
+        for g in grid:
+            p = solution._piece_at(solved_three, g)
+            z = g / p.a
+            want = -0.5 * z * kernel.pdf(z) * p.scale / (p.a * p.a)
+            assert profile_curvature(solved_three, g).hex() == want.hex(), g
+
 
 class TestSpacetime:
     def test_definition(self):
