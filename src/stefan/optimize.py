@@ -284,32 +284,44 @@ def _boundary_cap(x: Sequence[float], p: Sequence[float], fraction: float) -> fl
 
 
 def _default_start(spec: ProblemSpec) -> _Point:
-    """The point at the fronts of the zero-latent-heat profile, with the
+    """The point at the fronts of the zero-latent-heat minimizer, with the
     mean diffusivity.
 
-    With d = 0 and a uniform diffusivity a the energy's minimizer is the
-    profile u_0 + (u_{n+1} - u_0) cdf(xi/a), whose fronts sit at
-    a cdf^-1(p_i) with p_i = (u_i - u_0) / (u_{n+1} - u_0).  Fronts past
-    the middle take the mirror of the upper share (u_{n+1} - u_i) /
-    (u_{n+1} - u_0), so a p_i near 1 loses nothing to rounding.  If
-    ``_Point`` finds these infeasible (p_1 underflows to 0, or two
-    far-tail quantiles round to one double), the fronts are spaced the
-    mean diffusivity apart around the origin instead.  The point built
-    here is the solve's first point.
+    With d = 0 and a uniform diffusivity a the energy is
+    -sum_i w_i log(gap_i), with w_i = k_i (u_{i+1} - u_i), over gaps
+    that sum to 1.  Its minimizer has gap_i = w_i / W, W = sum_i w_i,
+    so front i sits at a cdf^-1(p_i) with the share
+    p_i = (w_0 + ... + w_{i-1}) / W, for any k.  Fronts past the middle
+    take the mirror of the upper share (w_i + ... + w_n) / W, summed
+    from its own end, so a p_i near 1 loses nothing to rounding.  The
+    weights are first scaled by a power of two that brings the largest
+    near 1, which changes no share but keeps W finite.  If W is 0 or
+    not finite, or ``_Point`` finds the fronts infeasible (p_1 underflows
+    to 0, or two far-tail quantiles round to one double), the fronts are
+    spaced the mean diffusivity apart around the origin instead.  The
+    point built here is the solve's first point.
     """
     abar = sum(spec.a) / len(spec.a)
-    lo, hi = spec.u[0], spec.u[-1]
-    span = hi - lo
-    inverse = kernel._cdf_inverse
-    x = []
-    for u in spec.u[1:-1]:
-        p = (u - lo) / span
-        x.append(abar * inverse(p) if p <= 0.5 else -(abar * inverse((hi - u) / span)))
-    try:
-        return _Point(spec, x)
-    except InfeasiblePoint:
-        n = spec.n
-        return _Point(spec, [(i - 0.5 * (n + 1)) * abar for i in range(1, n + 1)])
+    w = spec._strip_weights[0]
+    e = -math.frexp(max(w))[1]
+    w = [math.ldexp(v, e) for v in w]
+    total = math.fsum(w)
+    if 0.0 < total < math.inf:
+        # upper[m] = w_{n-m} + ... + w_n, so front j (from 0) pairs with
+        # upper[n-1-j]
+        upper = list(itertools.accumulate(reversed(w)))
+        upper.pop()
+        inverse = kernel._cdf_inverse
+        x = []
+        for lo, hi in zip(itertools.accumulate(w), reversed(upper)):
+            p = lo / total
+            x.append(abar * inverse(p) if p <= 0.5 else -(abar * inverse(hi / total)))
+        try:
+            return _Point(spec, x)
+        except InfeasiblePoint:
+            pass
+    n = spec.n
+    return _Point(spec, [(i - 0.5 * (n + 1)) * abar for i in range(1, n + 1)])
 
 
 def _line_search(spec, point, p, slope, ceiling, flat_ok, fraction):
@@ -352,9 +364,10 @@ def minimize(
 ) -> SolveResult:
     """Minimize the interface energy by damped Newton with backtracking.
 
-    Starts from the fronts of the zero-latent-heat profile (see
-    ``_default_start``: exact when d = 0 and a is uniform, equispaced
-    around the origin if those fronts do not resolve) unless an explicit
+    Starts from the fronts of the zero-latent-heat minimizer (see
+    ``_default_start``: the quantiles of the shares of k_i (u_{i+1} - u_i),
+    exact when d = 0 and a is uniform, for any k; equispaced around the
+    origin if those fronts do not resolve) unless an explicit
     feasible start is given.  An explicit start is validated as in
     ``energy``.  Feasibility is then tested only inside ``energy._Point``,
     whose first strip pass checks that every scaled strip is nonempty.

@@ -98,8 +98,15 @@ def assemble(spec: ProblemSpec, xi_star: Fronts) -> SelfSimilarSolution:
     return SelfSimilarSolution(spec=spec, xi_star=fronts, pieces=pieces)
 
 
+def _piece_index(sol: SelfSimilarSolution, xi: float) -> int:
+    """Index of the piece that holds xi, taken from the right at a front."""
+    if xi != xi:
+        raise ValueError("xi must not be NaN")
+    return bisect_right(sol.xi_star, xi)
+
+
 def _piece_at(sol: SelfSimilarSolution, xi: float) -> Piece:
-    return sol.pieces[bisect_right(sol.xi_star, xi)]
+    return sol.pieces[_piece_index(sol, xi)]
 
 
 def evaluate_profile(sol: SelfSimilarSolution, xi: float) -> float:
@@ -108,11 +115,8 @@ def evaluate_profile(sol: SelfSimilarSolution, xi: float) -> float:
     At an interface both one-sided limits equal the phase temperature,
     which is what gets returned.
     """
-    if xi != xi:
-        raise ValueError("xi must not be NaN")
-    fronts = sol.xi_star
-    j = bisect_right(fronts, xi)
-    if j > 0 and fronts[j - 1] == xi:
+    j = _piece_index(sol, xi)
+    if j > 0 and sol.xi_star[j - 1] == xi:
         return sol.spec.u[j]
     p = sol.pieces[j]
     c = kernel.cdf(xi / p.a)

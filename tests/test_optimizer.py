@@ -521,7 +521,7 @@ class TestMinimize:
         # reported as MaxIterations, without fronts.
         res = minimize(random_convex_spec(np.random.default_rng(0), 200))
         assert res.status is SolveStatus.MAX_ITERATIONS
-        assert res.iterations == 8
+        assert res.iterations == 7
         assert res.xi_star is None
         assert 1e-12 < res.grad_norm <= 3e-12
 
@@ -543,20 +543,29 @@ class TestDefaultStart:
         ((-1.0, 0.25, 2.0), 0.8, 1.7),
         ((-2.0, -1.1, -0.3, 0.4, 1.6, 2.2, 3.5), 1.3, 0.7),
         # p_2 = 1 - 1.8e-11 rounds 3e-17 off, which would move its front by
-        # 3e-7; the upper share (u_3 - u_2) / (u_3 - u_0) keeps it exact
+        # 3e-7; the upper share w_2 / W keeps it exact
         ((-3.0, 0.7, 2.4999999999, 2.5), 0.9, 1.1),
+        # unequal conductivities: the shares of u alone would be off
+        ((-1.0, 0.25, 2.0, 3.5), 0.8, (0.3, 1.7, 0.9)),
+        # the last upper share is 5e-13, which 1 - p_2 would lose to rounding
+        ((-1.0, 0.0, 1.0, 2.0), 1.1, (1.0, 1.0, 1e-12)),
     ])
     def test_zero_latent_heat_is_solved_at_the_start(self, u, a, k):
         import mpmath
 
         n = len(u) - 2
-        spec = ProblemSpec(u=u, a=(a,) * (n + 1), k=(k,) * (n + 1), d=(0.0,) * n)
+        if not isinstance(k, tuple):
+            k = (k,) * (n + 1)
+        spec = ProblemSpec(u=u, a=(a,) * (n + 1), k=k, d=(0.0,) * n)
         res = minimize(spec)
         assert res.status is SolveStatus.CONVERGED
         assert res.iterations == 0
         with mpmath.workdps(40):
-            for ui, xi in zip(u[1:-1], res.xi_star.xi):
-                p = (mpmath.mpf(ui) - u[0]) / (mpmath.mpf(u[-1]) - u[0])
+            w = [mpmath.mpf(ki) * (mpmath.mpf(hi) - lo)
+                 for ki, lo, hi in zip(k, u, u[1:])]
+            total = mpmath.fsum(w)
+            for i, xi in enumerate(res.xi_star.xi):
+                p = mpmath.fsum(w[:i + 1]) / total
                 want = float(2 * a * mpmath.erfinv(2 * p - 1))
                 assert xi == pytest.approx(want, rel=2e-15, abs=1e-16)
 
@@ -571,12 +580,30 @@ class TestDefaultStart:
         # p_1 and p_2 differ by 4e-15 relative, and so their far-tail
         # quantiles round to one double
         tied = ProblemSpec(u=(0.0, 1e-20, 1.000000000000004e-20, 3.0),
-                           a=(1.0, 1.0, 1.0), k=(1.0, 1e35, 1.0), d=(1.0, 1.0))
+                           a=(1.0, 1.0, 1.0), k=(1.0, 1.0, 1.0), d=(0.0, 0.0))
         for spec in (under, tied):
             assert _default_start(spec).fronts == [-0.5, 0.5]
             res = minimize(spec)
             assert res.status is SolveStatus.CONVERGED
             assert res.grad_norm <= 1e-12
+
+    def test_weights_past_the_float_range_are_scaled_first(self):
+        # W = 1.6e308 + 1e308 overflows, but no share depends on the scale
+        spec = ProblemSpec(u=(-8e307, 0.0, 1e308), a=(1.0, 1.0), k=(1.0, 1.0),
+                           d=(0.0,))
+        res = minimize(spec)
+        assert res.status is SolveStatus.CONVERGED
+        assert res.iterations == 0
+
+    def test_weights_that_underflow_fall_back(self):
+        # every k_i du_i = 1e-400 is 0.0, so W = 0 and no share exists
+        spec = ProblemSpec(u=(-1e-200, 0.0, 1e-200), a=(1.0, 1.0),
+                           k=(1e-200, 1e-200), d=(0.0,))
+        assert spec._strip_weights[0] == (0.0, 0.0)
+        assert _default_start(spec).fronts == [0.0]
+        res = minimize(spec)
+        assert res.status is SolveStatus.MAX_ITERATIONS
+        assert res.iterations == 0
 
 
 class TestRayPoint:

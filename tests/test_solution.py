@@ -203,6 +203,12 @@ class TestProfile:
             assert profile_curvature(sol, xi).hex() == zero
             assert profile_curvature(sol, math.copysign(1e300, xi)).hex() == zero
 
+    @pytest.mark.parametrize("fn", [evaluate_profile, profile_slope, profile_curvature])
+    def test_nan_is_rejected_by_name(self, fn):
+        sol = assemble(SYM, (0.0,))
+        with pytest.raises(ValueError, match="xi must not be NaN"):
+            fn(sol, math.nan)
+
     def test_finite_curvature_is_the_closed_form(self, solved_three):
         # the branch for infinite xi leaves every finite value as it was
         grid = [float(g) for g in np.linspace(-60.0, 60.0, 241)] + [-1e300, 1e300]
