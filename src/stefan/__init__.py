@@ -11,6 +11,7 @@ verifies profiles (``stefan.solution``), and wraps everything in the
 """
 
 from .energy import (
+    EnergyOverflow,
     FreeBoundaries,
     HessianParts,
     InfeasiblePoint,
@@ -51,6 +52,7 @@ from .solution import (
 __version__ = "0.1.0"
 
 __all__ = [
+    "EnergyOverflow",
     "FreeBoundaries",
     "GridSearchResult",
     "HessianParts",

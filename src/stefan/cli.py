@@ -13,9 +13,9 @@ Numbers are printed with shortest round-trip formatting, so dumped
 configs re-parse bit for bit.
 
 Exit codes: 0 success (solve: Converged; check: coercive), 1 bad input,
-unwritable output or a Hessian that is not finite, 2 check found a
-non-coercive problem, 3 solve Diverged, 4 solve stopped at the
-iteration limit.
+unwritable output, a Hessian that is not finite or an energy that
+overflows, 2 check found a non-coercive problem, 3 solve Diverged, 4
+solve stopped at the iteration limit.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import os
 import sys
 from typing import Optional, Tuple
 
-from .energy import InvalidProblem, ProblemSpec, check_wellposedness
+from .energy import EnergyOverflow, InvalidProblem, ProblemSpec, check_wellposedness
 from .optimize import NewtonBreakdown, SolveOptions, SolveStatus, minimize
 from .solution import assemble, evaluate_profile, validate
 
@@ -241,7 +241,7 @@ def main(argv: Optional[list] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, NewtonBreakdown) as exc:
+    except (ConfigError, NewtonBreakdown, EnergyOverflow) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

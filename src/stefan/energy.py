@@ -41,6 +41,7 @@ if TYPE_CHECKING:
 __all__ = [
     "InvalidProblem",
     "InfeasiblePoint",
+    "EnergyOverflow",
     "ProblemSpec",
     "FreeBoundaries",
     "WellPosednessReport",
@@ -64,6 +65,14 @@ class InvalidProblem(ValueError):
 class InfeasiblePoint(ValueError):
     """Interface coordinates are not finite and strictly increasing, or two
     distinct ones round to one value once scaled by a diffusivity."""
+
+
+class EnergyOverflow(OverflowError):
+    """The energy's finite terms sum past the largest double.
+
+    Scaling k and d by a common factor scales the energy and leaves its
+    minimizer where it is, so such data can be solved once scaled down.
+    """
 
 
 def _as_float_tuple(name: str, values: Iterable[float]) -> Tuple[float, ...]:
@@ -183,10 +192,12 @@ class _Point:
     Construction is the first pass.  Per strip it scales the ends
     (strip i spans xi_i/a_i to xi_{i+1}/a_i), checks that they are
     strictly ordered, takes ``kernel.log_gap`` and forms the energy
-    term; the terms are summed with ``math.fsum``.  The ordering test is
-    the whole feasibility test: it fails on fronts that are not finite,
-    not strictly increasing, or distinct but rounded to one scaled value
-    far out, and raises InfeasiblePoint before that strip's log_gap.
+    term; the terms are summed with ``math.fsum``, which raises
+    EnergyOverflow when finite terms sum past the largest double.  The
+    ordering test is the whole feasibility test: it fails on fronts that
+    are not finite, not strictly increasing, or distinct but rounded to
+    one scaled value far out, and raises InfeasiblePoint before that
+    strip's log_gap.
 
     The first call to ``gradient``, ``grad_norm`` or ``bands`` makes the
     second pass, which forms each strip's pdf/gap ratios and from them
@@ -231,7 +242,14 @@ class _Point:
         terms[n] = -(energy_w[n] * g)
         self.spec = spec
         self.fronts = fronts
-        self.energy = math.fsum(terms)
+        try:
+            self.energy = math.fsum(terms)
+        except OverflowError:
+            raise EnergyOverflow(
+                "energy terms sum past the largest double; scale the "
+                "conductivities and Stefan numbers down by a common factor, "
+                "which leaves the fronts unchanged"
+            ) from None
         self.lo, self.hi, self.lg = lo, hi, lg
         self._grad = None
 

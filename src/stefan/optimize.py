@@ -21,6 +21,23 @@ Converged only if they are all positive, and is otherwise left along a
 direction of nonpositive curvature.  Once the energy is flat at machine
 resolution, a short bounded run of Newton steps is accepted on a strict
 decrease of the gradient instead.
+
+The first undamped step of a solve is capped by the barrier it runs
+into.  Each strip's energy term -w log(gap) is a log barrier: with a
+linear pull (w/gap*) gap that makes gap* its optimal width, a full
+Newton step from gap = rho gap* lands at (2 - rho) gap, so a start whose
+strips are up to twice too wide lets the first step nearly close one,
+and each later step only doubles it back.  In that one-strip model the
+step closes the strip at the length room = 1 / (rho - 1), and the exact
+minimizer along the step is room / (1 + room), which lands on gap*.  So
+with room the step length at which the first pair of fronts would
+collide, the first trial length is
+
+    min(1, boundary_fraction * room, max(room / 2, room / (1 + room)))
+
+half way to the collision while Newton's own step would not close the
+strip (room >= 1), the model's minimizer when it would, and the full
+step from room >= 2 on, as for every damped or later step.
 """
 
 from __future__ import annotations
@@ -271,16 +288,16 @@ def newton_step(
     return np.array(p), lam
 
 
-def _boundary_cap(x: Sequence[float], p: Sequence[float], fraction: float) -> float:
-    """Largest step times `fraction` that keeps the ordering strict."""
-    cap = math.inf
+def _room(x: Sequence[float], p: Sequence[float]) -> float:
+    """Step length along p at which the first pair of fronts collides."""
+    room = math.inf
     for i in range(len(x) - 1):
         closing = p[i] - p[i + 1]
         if closing > 0.0:
-            room = (x[i + 1] - x[i]) / closing
-            if room < cap:  # as min(cap, room), NaN included
-                cap = room
-    return fraction * cap
+            t = (x[i + 1] - x[i]) / closing
+            if t < room:  # as min(room, t), NaN included
+                room = t
+    return room
 
 
 def _default_start(spec: ProblemSpec) -> _Point:
@@ -324,17 +341,23 @@ def _default_start(spec: ProblemSpec) -> _Point:
     return _Point(spec, [(i - 0.5 * (n + 1)) * abar for i in range(1, n + 1)])
 
 
-def _line_search(spec, point, p, slope, ceiling, flat_ok, fraction):
+def _line_search(spec, point, p, slope, ceiling, flat_ok, fraction, first):
     """Backtrack along p from point to an accepted trial.
 
-    Returns (trial, flat), or None when no trial is accepted.  A trial
-    is accepted on sufficient decrease to an energy below ceiling, or,
-    when the energy is flat at machine resolution and flat_ok, on a
+    Returns (trial, flat), or None when no trial is accepted.  The first
+    trial goes at most `fraction` of the way to the first collision of
+    two fronts, and when `first` (the undamped step of iteration 0) at
+    most max(room/2, room/(1+room)) of the step length `room` to it.  A
+    trial is accepted on sufficient decrease to an energy below ceiling,
+    or, when the energy is flat at machine resolution and flat_ok, on a
     strict decrease of the gradient's max-norm (flat = True).  A trial
     whose strips collapse once scaled is infeasible and is backtracked.
     """
     x, f = point.fronts, point.energy
-    alpha = min(1.0, _boundary_cap(x, p, fraction))
+    room = _room(x, p)
+    alpha = min(1.0, fraction * room)
+    if first and room < 2.0:  # the cap is >= 1 from 2 on; and no inf / inf
+        alpha = min(alpha, max(0.5 * room, room / (1.0 + room)))
     flat_tol = 8.0 * _EPS * max(1.0, abs(f))
     while alpha > 1e-20:
         xt = [xi + alpha * pi for xi, pi in zip(x, p)]
@@ -384,7 +407,13 @@ def minimize(
     Elsewhere the direction is the damped Newton step of ``newton_step``.
 
     Line search.  ``_line_search`` backtracks from the longest step that
-    goes boundary_fraction of the way to the cone boundary.  A trial
+    goes boundary_fraction of the way to the cone boundary.  On the
+    undamped step of iteration 0 (lambda = 0, from any start) it starts
+    no longer than max(room/2, room/(1 + room)) either, with room the
+    step length to the first collision of two fronts: half way there
+    while room >= 1, and the exact minimizer along the step of the
+    closing strip's log barrier when Newton's full step would close it
+    (see the module docstring).  A trial
     costs one strip pass, which gives its energy; the accepted trial
     gets a second, which gives the gradient, its max-norm and both
     Hessian bands.  Once energy differences fall below machine
@@ -431,8 +460,10 @@ def minimize(
         if iterations == opts.max_iter:
             status = SolveStatus.MAX_ITERATIONS
             break
+        first = False
         if p is None:
-            p, _, slope = _damped_step(point.gradient(), *point.bands(), opts.damping_min)
+            p, lam, slope = _damped_step(point.gradient(), *point.bands(), opts.damping_min)
+            first = iterations == 0 and lam == 0.0
             if slope >= 0.0:
                 # gradient is numerically zero; nothing to gain
                 status = SolveStatus.MAX_ITERATIONS
@@ -444,7 +475,7 @@ def minimize(
         # below the last recorded energy too, after flat steps
         ceiling = min(point.energy, trace[-1].energy)
         step = _line_search(
-            spec, point, p, slope, ceiling, flat_left > 0, opts.boundary_fraction
+            spec, point, p, slope, ceiling, flat_left > 0, opts.boundary_fraction, first
         )
         if step is None:
             status = SolveStatus.MAX_ITERATIONS  # stalled by roundoff

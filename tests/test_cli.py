@@ -414,6 +414,45 @@ class TestInfiniteLoad:
         assert "Traceback" not in proc.stderr
 
 
+class TestEnergyOverflow:
+    """Finite energy terms that sum past the largest double: the solve
+    exits 1 with one error line, not a traceback."""
+
+    CONFIG = {
+        "temperatures": [-1.7e308, 0.0, 1.7e308],
+        "diffusivities": [1.0, 1.0],
+        "conductivities": [1.0, 1.0],
+        "stefan_numbers": [0.0],
+    }
+
+    def test_solve_and_profile_exit_1(self, tmp_path, capsys):
+        path = write_config(tmp_path, self.CONFIG)
+        assert main(["check", path]) == 0
+        capsys.readouterr()
+        profile = ["profile", path, "--t", "1", "--x-min", "-1", "--x-max", "1",
+                   "--samples", "3", "--out", str(tmp_path / "p.csv")]
+        for argv in (["solve", path], profile):
+            assert main(argv) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: energy terms sum past the largest double")
+            assert captured.err.count("\n") == 1
+
+    def test_solve_process_prints_no_traceback(self, tmp_path):
+        env = dict(os.environ)
+        src = str(Path(stefan.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        path = write_config(tmp_path, self.CONFIG)
+        proc = subprocess.run(
+            [sys.executable, "-m", "stefan", "solve", path],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error:")
+        assert proc.stderr.count("\n") == 1
+        assert "Traceback" not in proc.stderr
+
+
 def test_missing_subcommand_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main([])

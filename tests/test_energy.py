@@ -7,6 +7,7 @@ import pytest
 
 import stefan.kernel
 from stefan import (
+    EnergyOverflow,
     FreeBoundaries,
     InfeasiblePoint,
     InvalidProblem,
@@ -149,6 +150,18 @@ class TestEnergyValues:
     def test_finite_far_out(self):
         val = energy(BOX2, (-35.0, 35.0))
         assert math.isfinite(val)
+
+    def test_terms_that_sum_past_the_largest_double(self):
+        # each strip term is 1.7e308 * log 2, finite; their sum is not
+        huge = ProblemSpec(u=(-1.7e308, 0.0, 1.7e308), a=(1.0, 1.0),
+                           k=(1.0, 1.0), d=(0.0,))
+        with pytest.raises(EnergyOverflow, match="common factor"):
+            energy(huge, (0.0,))
+        assert issubclass(EnergyOverflow, OverflowError)
+        # k scaled by 2**-2: the same fronts, a finite energy
+        scaled = ProblemSpec(u=huge.u, a=huge.a, k=(0.25, 0.25), d=(0.0,))
+        assert energy(scaled, (0.0,)) == pytest.approx(0.25 * 1.7e308 * TWO_LN_TWO,
+                                                       rel=1e-15)
 
 
 class TestGradient:

@@ -44,6 +44,8 @@ THREE = ProblemSpec(
     k=(0.7, 1.9, 1.1, 0.6),
     d=(0.3, -0.2, 0.5),
 )
+TWO = ProblemSpec(u=(-1.0, 0.0, 1.0, 2.0), a=(1.0, 1.0, 1.0), k=(1.0, 1.0, 1.0),
+                  d=(0.0, 0.0))
 SINK = ProblemSpec(u=(-1.0, 0.0, 1.0), a=(1.0, 1.0), k=(1.0, 1.0), d=(-1.5,))
 SINK2 = ProblemSpec(
     u=(-1.0, -0.2, 0.3, 1.0),
@@ -521,7 +523,7 @@ class TestMinimize:
         # reported as MaxIterations, without fronts.
         res = minimize(random_convex_spec(np.random.default_rng(0), 200))
         assert res.status is SolveStatus.MAX_ITERATIONS
-        assert res.iterations == 7
+        assert res.iterations == 5
         assert res.xi_star is None
         assert 1e-12 < res.grad_norm <= 3e-12
 
@@ -536,6 +538,88 @@ class TestMinimize:
         assert res.status is SolveStatus.CONVERGED
         xi = res.xi_star.xi
         assert all(b > a for a, b in zip(xi, xi[1:]))
+
+
+class TestFirstStepCap:
+    """The first trial length of the line search, and which steps get it."""
+
+    @staticmethod
+    def first_trial(monkeypatch, room, fraction, first, p=(1.0, 0.0)):
+        # fronts (0, room) with p = (1, 0) collide at step length room; every
+        # trial is refused, so the first one recorded is the longest
+        point = _Point(TWO, [0.0, room])
+        trials = []
+
+        def refuse(spec, fronts):
+            trials.append(fronts)
+            raise InfeasiblePoint("refused")
+
+        monkeypatch.setattr(stefan.optimize, "_Point", refuse)
+        step = stefan.optimize._line_search(
+            TWO, point, list(p), -1.0, math.inf, False, fraction, first
+        )
+        assert step is None
+        return trials[0][0] / p[0]
+
+    @pytest.mark.parametrize("room, fraction, first, alpha", [
+        # room < 1: Newton's step would close the strip; stop at the
+        # minimizer of its barrier along the step
+        (0.5, 0.9, True, 0.5 / 1.5),
+        (0.25, 0.9, True, 0.25 / 1.25),
+        # 1 <= room < 2: half way to the collision
+        (1.0, 0.9, True, 0.5),
+        (1.5, 0.9, True, 0.75),
+        (1.9, 0.9, True, 0.95),
+        # room >= 2: the full step, as before
+        (2.0, 0.9, True, 1.0),
+        (3.0, 0.9, True, 1.0),
+        # boundary_fraction below 1/2 still binds
+        (1.5, 0.3, True, 0.3 * 1.5),
+        (0.5, 0.3, True, 0.3 * 0.5),
+        # damped or later steps: boundary_fraction alone
+        (0.5, 0.9, False, 0.9 * 0.5),
+        (1.0, 0.9, False, 0.9),
+        (1.5, 0.9, False, 1.0),
+    ])
+    def test_first_trial_length(self, monkeypatch, room, fraction, first, alpha):
+        assert self.first_trial(monkeypatch, room, fraction, first) == alpha
+
+    def test_no_collision_takes_the_full_step(self, monkeypatch):
+        # the fronts move apart: room is infinite
+        assert self.first_trial(monkeypatch, 1.0, 0.9, True, p=(-1.0, 0.0)) == 1.0
+
+    @pytest.mark.parametrize("spec, damped_first", [
+        (random_convex_spec(np.random.default_rng(20), 50), False),
+        (random_noncoercive_spec(np.random.default_rng(0), 3), True),
+    ])
+    def test_only_the_undamped_first_step_is_capped(self, monkeypatch, spec,
+                                                     damped_first):
+        lams, firsts = [], []
+        damped, search = stefan.optimize._damped_step, stefan.optimize._line_search
+
+        def recording_damped(*args):
+            step = damped(*args)
+            lams.append(step[1])
+            return step
+
+        def recording_search(*args):
+            firsts.append(args[-1])
+            return search(*args)
+
+        monkeypatch.setattr(stefan.optimize, "_damped_step", recording_damped)
+        monkeypatch.setattr(stefan.optimize, "_line_search", recording_search)
+        res = minimize(spec)
+        assert res.iterations >= 2
+        assert (lams[0] > 0.0) is damped_first
+        assert firsts == [not damped_first] + [False] * (len(firsts) - 1)
+
+    @pytest.mark.parametrize("seed", [20, 29, 31, 33, 46, 51, 54, 56, 93])
+    def test_n_50_draws_converge_in_six_iterations(self, seed):
+        # each took 8 or 9 iterations when the first step went
+        # boundary_fraction of the way to a collision
+        res = minimize(random_convex_spec(np.random.default_rng(seed), 50))
+        assert res.status is SolveStatus.CONVERGED
+        assert res.iterations <= 6
 
 
 class TestDefaultStart:
