@@ -68,10 +68,12 @@ class InfeasiblePoint(ValueError):
 
 
 class EnergyOverflow(OverflowError):
-    """The energy's finite terms sum past the largest double.
+    """The energy's finite terms, or the well-posedness sums of its loads
+    and Stefan numbers, sum past the largest double.
 
-    Scaling k and d by a common factor scales the energy and leaves its
-    minimizer where it is, so such data can be solved once scaled down.
+    Scaling k and d by a common factor scales the energy and those sums
+    and leaves the minimizer and the verdict where they are, so such
+    data can be solved and checked once scaled down.
     """
 
 
@@ -385,13 +387,21 @@ def _running_fsums(terms: Sequence[float], suffixes: bool = False) -> list:
 
 
 def check_wellposedness(spec: ProblemSpec) -> WellPosednessReport:
+    """The exact criteria; EnergyOverflow if a sum passes the largest double."""
     n = spec.n
     load = spec._strip_weights[2]  # kappa_i (u_{i+1} - u_i)
 
     upper_terms = [load[i - 1] + spec.d[i - 1] for i in range(1, n + 1)]
     lower_terms = [load[i] + spec.d[i - 1] for i in range(1, n + 1)]
-    s_upper = tuple(_running_fsums(upper_terms))
-    s_lower = tuple(_running_fsums(lower_terms, suffixes=True))
+    try:
+        s_upper = tuple(_running_fsums(upper_terms))
+        s_lower = tuple(_running_fsums(lower_terms, suffixes=True))
+    except OverflowError as exc:
+        raise EnergyOverflow(
+            f"well-posedness sums pass the largest double ({exc}); scale the "
+            "conductivities and Stefan numbers down by a common factor, "
+            "which leaves the verdict and the fronts unchanged"
+        ) from None
     margins = tuple(
         min(load[i], load[i - 1]) + 2.0 * spec.d[i - 1] for i in range(1, n + 1)
     )

@@ -415,8 +415,9 @@ class TestInfiniteLoad:
 
 
 class TestEnergyOverflow:
-    """Finite energy terms that sum past the largest double: the solve
-    exits 1 with one error line, not a traceback."""
+    """Finite energy terms or well-posedness sums that sum past the
+    largest double: the command exits 1 with one error line, not a
+    traceback."""
 
     CONFIG = {
         "temperatures": [-1.7e308, 0.0, 1.7e308],
@@ -445,6 +446,36 @@ class TestEnergyOverflow:
         path = write_config(tmp_path, self.CONFIG)
         proc = subprocess.run(
             [sys.executable, "-m", "stefan", "solve", path],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error:")
+        assert proc.stderr.count("\n") == 1
+        assert "Traceback" not in proc.stderr
+
+    # finite loads whose well-posedness sum 1e308 + 1.7e308 overflows
+    CHECK_CONFIG = {
+        "temperatures": [-1.7e308, -1e308, 0.0, 1.7e308],
+        "diffusivities": [1.0, 1.0, 1.0],
+        "conductivities": [1.0, 1.0, 1.0],
+        "stefan_numbers": [0.0, 0.0],
+    }
+
+    def test_check_exits_1(self, tmp_path, capsys):
+        path = write_config(tmp_path, self.CHECK_CONFIG)
+        assert main(["check", path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: well-posedness sums pass the largest double")
+        assert captured.err.count("\n") == 1
+
+    def test_check_process_prints_no_traceback(self, tmp_path):
+        env = dict(os.environ)
+        src = str(Path(stefan.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        path = write_config(tmp_path, self.CHECK_CONFIG)
+        proc = subprocess.run(
+            [sys.executable, "-m", "stefan", "check", path],
             env=env, capture_output=True, text=True, timeout=120,
         )
         assert proc.returncode == 1

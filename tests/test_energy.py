@@ -351,6 +351,18 @@ class TestWellPosedness:
                 assert rep.strictly_convex_sufficient
                 assert rep.coercive
 
+    def test_sums_past_the_largest_double(self):
+        # S_lower[0] = 1e308 + 1.7e308 overflows; its terms and S_upper do not
+        huge = ProblemSpec(u=(-1.7e308, -1e308, 0.0, 1.7e308), a=(1.0,) * 3,
+                           k=(1.0,) * 3, d=(0.0, 0.0))
+        with pytest.raises(EnergyOverflow, match="well-posedness sums .*common factor"):
+            check_wellposedness(huge)
+        # k scaled by 2**-2: finite sums, the same coercive verdict
+        scaled = ProblemSpec(u=huge.u, a=huge.a, k=(0.25,) * 3, d=(0.0, 0.0))
+        rep = check_wellposedness(scaled)
+        assert rep.coercive and rep.strictly_convex_sufficient
+        assert rep.S_lower[0] == pytest.approx(6.75e307, rel=1e-15)
+
 
 def test_strip_weights_stay_out_of_the_dataclass_surface():
     import dataclasses

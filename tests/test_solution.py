@@ -312,22 +312,27 @@ class TestResiduals:
         for expected in (want, float(np.max(np.abs(balances)))):
             assert got == expected or (math.isnan(got) and math.isnan(expected))
 
-    def test_ode_residual_matches_per_sample_derivatives(self):
-        # validate shares one set of cosines and inlines v', v''; the
-        # phase-by-phase loop over _derivatives must give the same bits
+    def test_ode_residual_is_the_factored_closed_form(self):
+        # validate shares one set of cosines and skips exp where the gap
+        # cannot raise the maximum; a per-sample loop over every sample
+        # of e * |t q/a - z q| must give the same bits, and that figure
+        # is rounding: a few eps of the ODE's terms, with v' taken from
+        # _derivatives
         from helpers import random_coercive_spec, random_convex_spec
 
-        def ode_residual(sol, m):
-            fronts, n, worst = sol.xi_star, len(sol.xi_star), 0.0
+        def samples(sol, m):
+            fronts, n = sol.xi_star, len(sol.xi_star)
             for i, p in enumerate(sol.pieces):
                 lo = fronts[i - 1] if i > 0 else fronts[0] - 10.0
                 hi = fronts[i] if i < n else fronts[-1] + 10.0
                 mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
                 for j in range(1, m + 1):
-                    t = mid + half * math.cos((2 * j - 1) * math.pi / (2 * m))
-                    slope, curvature = solution._derivatives(p, t)
-                    worst = max(worst, abs(p.a * p.a * curvature + 0.5 * t * slope))
-            return worst
+                    yield p, mid + half * math.cos((2 * j - 1) * math.pi / (2 * m))
+
+        def factored(p, t):
+            q = 0.5 * kernel.PDF_PEAK * p.scale
+            z = t / p.a
+            return math.exp(-0.25 * z * z) * abs(t * (q / p.a) - z * q)
 
         for seed in range(6):
             family = (random_convex_spec, random_coercive_spec)[seed % 2]
@@ -335,8 +340,20 @@ class TestResiduals:
             sol = assemble(spec, minimize(spec).xi_star)
             for m in (3, 9, 33):
                 report = validate(sol, m)
-                assert report.max_ode_residual.hex() == ode_residual(sol, m).hex()
+                want = max(factored(p, t) for p, t in samples(sol, m))
+                assert report.max_ode_residual.hex() == want.hex()
+                term = max(abs(0.5 * t * solution._derivatives(p, t)[0])
+                           for p, t in samples(sol, m))
+                assert report.max_ode_residual <= 16 * 2.0 ** -52 * term
                 assert report.samples == m * (spec.n + 1)
+
+    def test_ode_residual_with_a_squared_below_the_smallest_double(self):
+        # a = 1e-170: a^2 underflows to 0, which the factored form never
+        # divides by
+        spec = ProblemSpec(u=(-1, 0, 1), a=(1e-170, 1), k=(1, 1), d=(0.3,))
+        report = validate(assemble(spec, (0.5,)), 33)
+        assert report.max_ode_residual <= 1e-12
+        assert report.samples == 66
 
     def test_validate_requires_enough_samples(self, solved_three):
         with pytest.raises(ValueError):
