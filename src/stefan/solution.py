@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import TYPE_CHECKING, Tuple
 
 from . import kernel
@@ -42,6 +43,14 @@ __all__ = [
 
 # Half-width of the sampling window used for the two unbounded phases.
 _END_WINDOW = 10.0
+
+# The constants of _ode_windows' bound: C*u with C = 4(1 + 2^-20) and
+# u = 2^-53, the underflow weight, the largest |q| whose samples cannot
+# overflow, and where y*exp(-y^2/4) peaks
+_ODE_C_U = 4.0 * (1.0 + 2.0**-20) * 2.0**-53
+_ODE_TINY = 2.0**-1073
+_ODE_Q_SAFE = 2.0**1017
+_SQRT2 = math.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -197,10 +206,107 @@ def stefan_residuals(spec: ProblemSpec, xi: Fronts) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ResidualReport:
+    """What ``validate`` measured, and what each figure can detect.
+
+    max_ode_residual: the largest rounding of the pieces' closed form
+        against a^2 v'' + xi v'/2 = 0.  It reads only each piece's
+        ``scale`` and ``a``, so it cannot see a wrong front, a wrong
+        anchor or a wrong temperature; on ``assemble``'s output it is a
+        few eps of the ODE's terms.
+    max_stefan_residual: the largest literal flux balance at a front.
+        It is the only figure that checks the fronts themselves.
+    max_interface_jump: the largest gap between a piece's value at a
+        front and that phase temperature.  ``assemble`` builds each
+        piece's cdf_lo and cdf_hi by the very expression this figure
+        takes, so it is 0 by construction on ``assemble``'s output and
+        can be nonzero only for a hand-built solution.
+    samples: the number of ODE samples, samples_per_phase * (n + 1).
+
+    No figure checks that a piece's two anchors agree, that is, that
+    u_hi - u_lo = scale * (cdf_hi - cdf_lo); where they do not, the
+    profile is wrong on one side of cdf_mid and every figure can still
+    read clean.
+    """
+
     max_ode_residual: float
     max_stefan_residual: float
     max_interface_jump: float
     samples: int
+
+
+def _ode_windows(sol: SelfSimilarSolution) -> list:
+    """(bound, mid, half, a, q, q_a) per piece, in descending bound order.
+
+    ``validate`` samples piece p at t = mid + half * c with |c| <= 1,
+    so by monotone rounding every sample lies in [mid - |half|,
+    mid + |half|]; T is the largest |t| there.  A sample's figure is
+    r = e * gap, with gap = |t * q_a - z * q|, q = PDF_PEAK * scale / 2,
+    q_a = q/a, z = t/a and e = exp(-z^2/4), each operation rounded.
+    Both products are t*q/a times two factors 1 + d with |d| <= u =
+    2^-53, so they differ by at most 4u |t q/a|, and by Sterbenz's lemma
+    their difference is exact.  With y = |t|/|a|, so
+
+        r <= 4u |q| y exp(-y^2/4)
+
+    up to factors 1 + O(u y^2) from rounding z, z*z, exp (within an
+    ulp) and r, all below 1 + 1e-12 since e > 0 needs y < 55.
+    y exp(-y^2/4) peaks at y = sqrt(2) and is monotone on either side,
+    so over the window it is largest at x, the point of its y range
+    nearest sqrt(2): x = s/|a|, with s the point of the |t| range
+    nearest |a| sqrt(2).  Hence the bound
+
+        B = C u |q| x exp(-x^2/4) + 2^-1073 (T + |q| + 2)
+
+    with C = 4 (1 + 2^-20), whose margin covers those factors and the
+    rounding of B itself.  The second term covers underflow: q_a and z
+    may each lose up to 2^-1075, which the products scale by |t| <= T
+    and by |q|; each other rounding, of the products, the subtraction,
+    r and B's own terms, loses at most 2^-1075 more, and exp, within an
+    ulp of a subnormal result, 2^-1074 * 4u * 55 |q| at most.
+
+    Where a sample's product could overflow while e > 0, that is
+    |q| > 2^1017 or q/a overflowed, r may be inf, and so is B; a B that
+    comes out NaN is inf as well.  No bound is NaN, so the order is
+    total, and every sample of a piece is at most its bound.
+    """
+    fronts = sol.xi_star
+    n = len(fronts)
+    exp = math.exp
+    inf = math.inf
+    windows = []
+    for i, p in enumerate(sol.pieces):
+        lo = fronts[i - 1] if i > 0 else fronts[0] - _END_WINDOW
+        hi = fronts[i] if i < n else fronts[-1] + _END_WINDOW
+        mid = 0.5 * (lo + hi)
+        half = 0.5 * (hi - lo)
+        a = p.a
+        q = 0.5 * kernel.PDF_PEAK * p.scale
+        q_a = q / a
+        abs_q = abs(q)
+        bound = inf
+        if abs_q <= _ODE_Q_SAFE and abs(q_a) < inf:
+            h = abs(half)
+            t_lo, t_hi = mid - h, mid + h
+            # |t| runs over [small, big]; a NaN end makes big NaN or inf
+            if t_lo > 0.0:
+                small, big = t_lo, t_hi
+            elif t_hi < 0.0:
+                small, big = -t_hi, -t_lo
+            else:
+                small, big = 0.0, (t_hi if t_hi > -t_lo else -t_lo)
+            x = small / abs(a)
+            if not x >= _SQRT2:
+                x = big / abs(a)
+                if x > _SQRT2:
+                    x = _SQRT2
+            bound = _ODE_C_U * abs_q * x * exp(-0.25 * x * x) + _ODE_TINY * (
+                big + abs_q + 2.0
+            )
+            if bound != bound:
+                bound = inf
+        windows.append((bound, mid, half, a, q, q_a))
+    windows.sort(key=itemgetter(0), reverse=True)
+    return windows
 
 
 def validate(sol: SelfSimilarSolution, samples_per_phase: int) -> ResidualReport:
@@ -213,38 +319,40 @@ def validate(sol: SelfSimilarSolution, samples_per_phase: int) -> ResidualReport
     residuals are the literal interface balances.  The ODE and jump
     numbers check the construction itself, the flux residuals check
     whether the supplied interface positions actually solve the
-    problem.
+    problem (see ``ResidualReport``).
 
     Each piece is an affine image of cdf(xi/a), which solves the ODE
     exactly, so the ODE figure is the rounding of that closed form
     with the density factored out: with q = PDF_PEAK * scale / 2,
     z = xi/a and e = exp(-z^2/4), a^2 v'' = -z q e and xi v'/2 =
-    xi (q/a) e, and the residual is e * |xi (q/a) - z q|.  Since
+    xi (q/a) e, and the residual is e * |xi (q/a) - z q|.  Two prunings
+    leave the maximum the same bits as over every sample.  Pieces are
+    visited in descending order of a proven bound on their samples
+    (``_ode_windows``), and the loop stops at the first piece whose
+    bound does not exceed the running maximum.  Within a piece, since
     e <= 1, a sample whose gap |xi (q/a) - z q| does not exceed the
-    running maximum cannot raise it, and its exp is skipped: the
-    maximum is the same bits as over every sample.  A NaN sample never
-    enters it.
+    running maximum cannot raise it, and its exp is skipped.  A NaN
+    sample never enters the maximum.
+
+    samples_per_phase must be a whole number, at least 3; a whole float
+    such as 33.0 is taken as that int.
     """
-    if samples_per_phase < 3:
-        raise ValueError("samples_per_phase must be at least 3")
+    if not (samples_per_phase % 1 == 0 and samples_per_phase >= 3):
+        raise ValueError("samples_per_phase must be a whole number, at least 3")
     spec = sol.spec
     fronts = sol.xi_star
     n = len(fronts)
 
     # Chebyshev nodes of each phase are mid + half * cos(...), with the
     # same cosines for every phase
-    m = samples_per_phase
+    m = int(samples_per_phase)
     cosines = [math.cos((2 * j - 1) * math.pi / (2 * m)) for j in range(1, m + 1)]
     exp = math.exp
     max_ode = 0.0
-    for i, p in enumerate(sol.pieces):
-        lo = fronts[i - 1] if i > 0 else fronts[0] - _END_WINDOW
-        hi = fronts[i] if i < n else fronts[-1] + _END_WINDOW
-        mid = 0.5 * (lo + hi)
-        half = 0.5 * (hi - lo)
-        a = p.a
-        q = 0.5 * kernel.PDF_PEAK * p.scale
-        q_a = q / a
+    for bound, mid, half, a, q, q_a in _ode_windows(sol):
+        if bound <= max_ode:
+            # no sample of this piece or of any later one can raise it
+            break
         for c in cosines:
             t = mid + half * c
             z = t / a

@@ -118,6 +118,24 @@ def random_noncoercive_spec(rng: np.random.Generator, n: int) -> ProblemSpec:
     return ProblemSpec(u=u, a=a, k=k, d=d)
 
 
+def wide_range_spec(seed: int) -> ProblemSpec:
+    """A convex draw over six decades of every datum, fixed by seed.
+
+    n in 1..6; temperature jumps 10^U(-3, 3) from u_0 = -1; a 10^U(-1.5,
+    1.5); k 10^U(-3, 3); and d_i = -min(load_i, load_{i+1}) U(0, 1) / 2
+    with load = k du / a^2, so every convexity margin is at least 0.
+    """
+    rng = np.random.default_rng([seed, 99])
+    n = int(rng.integers(1, 7))
+    du = 10.0 ** rng.uniform(-3.0, 3.0, size=n + 1)
+    u = -1.0 + np.concatenate(([0.0], np.cumsum(du)))
+    a = 10.0 ** rng.uniform(-1.5, 1.5, size=n + 1)
+    k = 10.0 ** rng.uniform(-3.0, 3.0, size=n + 1)
+    loads = k * du / a**2
+    d = -0.5 * np.minimum(loads[1:], loads[:-1]) * rng.uniform(0.0, 1.0, size=n)
+    return ProblemSpec(u=u, a=a, k=k, d=d)
+
+
 def random_fronts(rng: np.random.Generator, n: int) -> tuple:
     """Strictly increasing point with |xi_i| <= 3 and gaps >= 0.2."""
     gaps = rng.uniform(0.2, 1.0, size=n)

@@ -247,6 +247,51 @@ class TestSpacetime:
         assert abs(evaluate_spacetime(solved_three, 1e-8, 1.0) - THREE.u[-1]) <= 1e-12
 
 
+def _ode_samples(sol, m):
+    """(piece, t) for every ODE sample of validate, pruned or not."""
+    fronts, n = sol.xi_star, len(sol.xi_star)
+    for i, p in enumerate(sol.pieces):
+        lo = fronts[i - 1] if i > 0 else fronts[0] - 10.0
+        hi = fronts[i] if i < n else fronts[-1] + 10.0
+        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        for j in range(1, m + 1):
+            yield p, mid + half * math.cos((2 * j - 1) * math.pi / (2 * m))
+
+
+def _factored(p, t):
+    q = 0.5 * kernel.PDF_PEAK * p.scale
+    z = t / p.a
+    return math.exp(-0.25 * z * z) * abs(t * (q / p.a) - z * q)
+
+
+def _check_ode_bounds(sol, m):
+    """Each piece's bound is a number, at least each of its samples'
+    e * gap; the pieces come in descending bound order.  Returns the
+    number of samples whose figure is not NaN."""
+    windows = solution._ode_windows(sol)
+    bounds = [w[0] for w in windows]
+    assert not any(map(math.isnan, bounds))
+    assert bounds == sorted(bounds, reverse=True)
+    cosines = [math.cos((2 * j - 1) * math.pi / (2 * m)) for j in range(1, m + 1)]
+    seen = []
+    checked = 0
+    for bound, mid, half, a, q, q_a in windows:
+        for c in cosines:
+            t = mid + half * c
+            seen.append(tuple(v.hex() for v in (t, a, q, q_a)))
+            z = t / a
+            r = math.exp(-0.25 * z * z) * abs(t * q_a - z * q)
+            assert not r > bound, (r, bound, mid, half, a, q)
+            checked += r == r
+    # the windows sample the pieces as validate does, in some order
+    want = []
+    for p, t in _ode_samples(sol, m):
+        q = 0.5 * kernel.PDF_PEAK * p.scale
+        want.append(tuple(v.hex() for v in (t, p.a, q, q / p.a)))
+    assert sorted(seen) == sorted(want)
+    return checked
+
+
 class TestResiduals:
     def test_converged_solution_validates(self, solved_three):
         report = validate(solved_three, 33)
@@ -313,39 +358,78 @@ class TestResiduals:
             assert got == expected or (math.isnan(got) and math.isnan(expected))
 
     def test_ode_residual_is_the_factored_closed_form(self):
-        # validate shares one set of cosines and skips exp where the gap
-        # cannot raise the maximum; a per-sample loop over every sample
-        # of e * |t q/a - z q| must give the same bits, and that figure
-        # is rounding: a few eps of the ODE's terms, with v' taken from
-        # _derivatives
-        from helpers import random_coercive_spec, random_convex_spec
+        # validate shares one set of cosines, skips the pieces whose bound
+        # cannot raise the maximum and skips exp where the gap cannot; a
+        # per-sample loop over every sample of e * |t q/a - z q| must give
+        # the same bits, and that figure is rounding: a few eps of the
+        # ODE's terms, with v' taken from _derivatives.  At n = 50 and 100
+        # most pieces are skipped.
+        from helpers import random_coercive_spec
 
-        def samples(sol, m):
-            fronts, n = sol.xi_star, len(sol.xi_star)
-            for i, p in enumerate(sol.pieces):
-                lo = fronts[i - 1] if i > 0 else fronts[0] - 10.0
-                hi = fronts[i] if i < n else fronts[-1] + 10.0
-                mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-                for j in range(1, m + 1):
-                    yield p, mid + half * math.cos((2 * j - 1) * math.pi / (2 * m))
-
-        def factored(p, t):
-            q = 0.5 * kernel.PDF_PEAK * p.scale
-            z = t / p.a
-            return math.exp(-0.25 * z * z) * abs(t * (q / p.a) - z * q)
-
-        for seed in range(6):
+        cases = [(seed, (1, 4, 20)[seed % 3]) for seed in range(6)]
+        for seed, n in cases + [(6, 50), (7, 100)]:
             family = (random_convex_spec, random_coercive_spec)[seed % 2]
-            spec = family(np.random.default_rng(seed), (1, 4, 20)[seed % 3])
+            spec = family(np.random.default_rng(seed), n)
             sol = assemble(spec, minimize(spec).xi_star)
             for m in (3, 9, 33):
                 report = validate(sol, m)
-                want = max(factored(p, t) for p, t in samples(sol, m))
+                want = max(_factored(p, t) for p, t in _ode_samples(sol, m))
                 assert report.max_ode_residual.hex() == want.hex()
                 term = max(abs(0.5 * t * solution._derivatives(p, t)[0])
-                           for p, t in samples(sol, m))
+                           for p, t in _ode_samples(sol, m))
                 assert report.max_ode_residual <= 16 * 2.0 ** -52 * term
                 assert report.samples == m * (spec.n + 1)
+
+    def test_every_ode_sample_is_within_its_piece_bound(self):
+        # the pruning is exact only if no sample of a piece exceeds that
+        # piece's bound: check each sample of 200 wide-range draws, at the
+        # solution and at fronts shifted off it, where the largest sample
+        # reaches about 0.7 of the bound
+        from helpers import wide_range_spec
+
+        checked = 0
+        for seed in range(200):
+            spec = wide_range_spec(seed)
+            res = minimize(spec)
+            if res.xi_star is None:
+                continue
+            for shift in (0.0, 0.1):
+                fronts = tuple(x + shift * (j + 1) for j, x in enumerate(res.xi_star.xi))
+                try:
+                    sol = assemble(spec, fronts)
+                except OverflowError:
+                    continue
+                for m in (3, 9, 33):
+                    checked += _check_ode_bounds(sol, m)
+                    report = validate(sol, m)
+                    want = max(_factored(p, t) for p, t in _ode_samples(sol, m))
+                    assert report.max_ode_residual.hex() == want.hex(), seed
+        assert checked > 20_000
+
+    @pytest.mark.parametrize("a", [0.7, 1e-170, 1e170, -1.7, 1e-310])
+    def test_ode_bound_holds_on_hand_built_pieces(self, a):
+        # pieces validate never sees from assemble: scales that are 0,
+        # infinite, NaN, negative, subnormal or near the largest double,
+        # and windows on every scale of a, subnormal ones and non-finite
+        # ones; every bound must be a number at least every sample's
+        # e * gap, so an infinite sample meets an infinite bound
+        scales = [0.0, math.inf, -math.inf, math.nan, -2.5, 5e-324, 3e-310,
+                  1.0, 7.0, 1e300, 1e307, 1.7e308]
+        edges = sorted({f * abs(a) for f in
+                        (-60.0, -3.0, -1.5, -0.5, 0.0, 1.0, 1.5, 2.0, 40.0,
+                         53.5, 54.7, 56.0)} | {-5e-324, 1e-320, 2e-308})
+        fronts_list = [tuple(edges), (-math.inf, 0.0, 1.0), (0.0, math.inf),
+                       (math.nan, 1.0), (-1e308, 1e308)]
+        for fronts in fronts_list:
+            for scale in scales:
+                pieces = tuple(
+                    solution.Piece(a=a, u_lo=0.0, u_hi=1.0, cdf_lo=0.0,
+                                   cdf_hi=1.0, scale=scale)
+                    for _ in range(len(fronts) + 1)
+                )
+                sol = solution.SelfSimilarSolution(SYM, fronts, pieces)
+                for m in (3, 9, 33):
+                    _check_ode_bounds(sol, m)
 
     def test_ode_residual_with_a_squared_below_the_smallest_double(self):
         # a = 1e-170: a^2 underflows to 0, which the factored form never
@@ -358,3 +442,16 @@ class TestResiduals:
     def test_validate_requires_enough_samples(self, solved_three):
         with pytest.raises(ValueError):
             validate(solved_three, 2)
+
+    @pytest.mark.parametrize("m", [3.5, math.nan, math.inf, 2.0])
+    def test_samples_per_phase_must_be_whole(self, solved_three, m):
+        # a count that is not whole is a ValueError, not a TypeError from range
+        with pytest.raises(
+            ValueError, match="samples_per_phase must be a whole number, at least 3"
+        ):
+            validate(solved_three, m)
+
+    def test_whole_float_samples_per_phase(self, solved_three):
+        report = validate(solved_three, 33.0)
+        assert report == validate(solved_three, 33)
+        assert type(report.samples) is int
