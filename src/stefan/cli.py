@@ -162,12 +162,17 @@ def _fmt(v: float) -> str:
 
 def cmd_profile(args) -> int:
     spec, opts = load_config(args.config)
-    if not args.t > 0.0:
-        raise ConfigError("--t must be positive")
+    if not 0.0 < args.t < math.inf:
+        raise ConfigError("--t must be positive and finite")
     if args.samples < 2:
         raise ConfigError("--samples must be at least 2")
     if not args.x_min < args.x_max:
         raise ConfigError("--x-min must be below --x-max")
+    # the samples of numpy.linspace, bit for bit; an infinite end or a
+    # difference past the largest double makes the step infinite
+    step = (args.x_max - args.x_min) / (args.samples - 1)
+    if step == math.inf:
+        raise ConfigError("--x-min, --x-max and their difference must be finite")
 
     result = minimize(spec, opts)
     if result.status is not SolveStatus.CONVERGED:
@@ -176,8 +181,6 @@ def cmd_profile(args) -> int:
     sol = assemble(spec, result.xi_star)
 
     sqrt_t = math.sqrt(args.t)
-    # the samples of numpy.linspace, bit for bit
-    step = (args.x_max - args.x_min) / (args.samples - 1)
     xs = [args.x_min + i * step for i in range(args.samples - 1)] + [args.x_max]
     out_path = args.out
     fronts_path = os.path.join(os.path.dirname(os.path.abspath(out_path)), "fronts.csv")

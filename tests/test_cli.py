@@ -302,6 +302,25 @@ class TestProfile:
         )
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            ["--t", "inf", "--x-min", "-5", "--x-max", "5"],
+            ["--t", "1", "--x-min=-inf", "--x-max", "5"],
+            ["--t", "1", "--x-min", "-5", "--x-max", "inf"],
+            # both ends finite, but the grid step overflows
+            ["--t", "1", "--x-min=-1e308", "--x-max", "1e308"],
+        ],
+    )
+    def test_rejects_a_non_finite_grid_before_solving(self, tmp_path, capsys, grid):
+        out = tmp_path / "p.csv"
+        code = main(["profile", write_config(tmp_path, SYM_OK), *grid,
+                     "--samples", "11", "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1, err
+        assert not out.exists()
+
     def test_diverging_problem_reported(self, tmp_path, capsys):
         code, _ = self.run_profile(tmp_path, ESCAPING, 1.0)
         assert code == 3

@@ -14,7 +14,7 @@ from stefan.kernel import (
     _NARROW,
     PDF_PEAK,
     _cdf_inverse,
-    _erfcx_cf,
+    _log_erfcx,
     cdf,
     log_gap,
     log_pdf,
@@ -50,18 +50,6 @@ LOG_GAP_POINTS = [
     (6.0, 9.0, -11.413519123061457),
     (12.0, INF, -39.07070835378333),
     (-INF, 0.0, -0.6931471805599453),
-]
-
-# (x, value) of the continued fraction for exp(x^2) erfc(x), frozen from
-# the implementation that stops at the first factor within one ulp of 1.
-# An earlier rule stopped only on an exact unit factor, after 2, 27, 102
-# and 470 terms: it gave the first row too, but erred by 3.6e-15, 1.4e-14
-# and 5.7e-14 on the other three, which err by 1.6e-16 or less here
-ERFCX_CF_POINTS = [
-    (14995942.253489535, 3.762281649333965e-08),
-    (442131399.621959, 1.2760676668297305e-09),
-    (851350064.5041283, 6.626998776071867e-10),
-    (1970162107.8384194, 2.8636708690269243e-10),
 ]
 
 # (a, b, log_gap(a, b)) frozen bit for bit from the implementation that
@@ -244,29 +232,34 @@ def test_tail_ratio_band():
         assert 1.0 - 2.0 / (x * x) - 1e-3 <= ratio <= 1.0 + 1e-3
 
 
-def test_erfcx_cf_values_are_unchanged():
-    for x, want in ERFCX_CF_POINTS:
-        assert _erfcx_cf(x) == want
-
-
-def test_erfcx_cf_against_mpmath():
+def test_one_sided_tail_against_mpmath():
+    # log(1 - cdf(a)) takes one log erfcx of z = a/2: the rational ratio
+    # below z = 28 and the asymptotic series from there on.  400 log-uniform
+    # a over [6, 1e150] (mpmath takes milliseconds per erfc far out) and
+    # 400 over [6, 1e4]; the switch at a = 56 and its two neighbours; and
+    # two arguments where a continued fraction's factor settled one ulp
+    # off 1
     import mpmath
 
-    rng = np.random.default_rng(30)
-    xs = [float(x) for x in np.exp(rng.uniform(math.log(8.0), math.log(1e12), 2000))]
-    worst = 0.0
-    with mpmath.workdps(40):
-        for x in xs + [377870634.1951371]:
-            want = mpmath.erfc(mpmath.mpf(x)) * mpmath.exp(mpmath.mpf(x) ** 2)
-            worst = max(worst, float(abs(_erfcx_cf(x) / want - 1)))
-    assert worst <= 2e-15
-
-
-def test_erfcx_cf_terminates_when_factor_sticks_below_one():
-    # the factor settles at 1 - 2**-53 here and never reaches 1 exactly
-    x = 377870634.1951371
-    asymptote = (1.0 - 0.5 / (x * x)) / (x * math.sqrt(math.pi))
-    assert _erfcx_cf(x) == pytest.approx(asymptote, rel=1e-15)
+    rng = np.random.default_rng(31)
+    args = [
+        float(x)
+        for top in (1e150, 1e4)
+        for x in np.exp(rng.uniform(math.log(6.0), math.log(top), 400))
+    ]
+    args += [math.nextafter(56.0, 0.0), 56.0, math.nextafter(56.0, INF)]
+    args += [2.0 * 377870634.1951371, 2.0 * 14995942.253489535]
+    with mpmath.workdps(60):
+        for a in args:
+            z = mpmath.mpf(a) / 2
+            log_erfc = mpmath.log(mpmath.erfc(z))
+            got = log_gap(a, INF)
+            assert abs(got - (log_erfc - mpmath.log(2))) <= 4 * EPS * abs(got), a
+            assert log_gap(-INF, -a) == got, a
+            if a <= 1e4:
+                # log erfcx on its own, where 60 digits resolve log erfc + z^2
+                want = log_erfc + z * z
+                assert abs(_log_erfcx(0.5 * a) - want) <= 4 * EPS * abs(want), a
 
 
 def test_log_gap_far_right_tail():
@@ -403,13 +396,13 @@ def test_cdf_and_wide_central_log_gap_against_mpmath():
 
 def test_log_gap_just_past_the_narrow_branch():
     # up to 3x the branch's width the gap is differenced again; in the
-    # tails that is good to about 13 eps of the log (at most 8.6e-13 over
-    # 20 000 sampled strips)
+    # tails that is one expm1 of a log-tail step whose z^2 parts cancel
+    # exactly, good to a few eps of the log
     rng = np.random.default_rng(11)
     for a, b in _strips_about(rng, 100, lambda u: 1.001 + 2.0 * u):
         got = log_gap(a, b)
         want = _log_gap_reference(a, b)
-        assert abs(got - want) <= 32 * EPS * max(1.0, abs(want)), (a, b)
+        assert abs(got - want) <= 4 * EPS * max(1.0, abs(want)), (a, b)
         assert log_gap(-b, -a).hex() == got.hex(), (a, b)
 
 
@@ -443,7 +436,7 @@ def test_log_gap_at_the_edge_of_the_series_in_every_binade():
         a, b = strips[i]
         if min(abs(a), abs(b)) < 2.0**513:
             want = _log_gap_reference(a, b)
-            assert abs(log_gap(a, b) - want) <= 32 * EPS * max(1.0, abs(want)), (a, b)
+            assert abs(log_gap(a, b) - want) <= 4 * EPS * max(1.0, abs(want)), (a, b)
 
 
 def test_log_gap_of_a_straddle_whose_erf_half_rounds_to_one():
