@@ -12,6 +12,14 @@ and an optional "solver" object whose keys mirror SolveOptions.
 Numbers are printed with shortest round-trip formatting, so dumped
 configs re-parse bit for bit.
 
+profile writes its two CSV files in place: it opens each without
+emptying it first (following a symlink, keeping the inode and its mode),
+writes over it, and then cuts a regular file to the written length, on a
+write error as well. Nothing is fsynced. On ext4 (default auto_da_alloc)
+a file emptied by open(path, "w") is flushed to disk when it is closed;
+on a 2-core VM that made a 2001-sample profile process take 148 ms, 44 ms
+when written in place.
+
 Exit codes: 0 success (solve: Converged; check: coercive), 1 bad input,
 unwritable output, a Hessian that is not finite or an energy that
 overflows, 2 check found a non-coercive problem, 3 solve Diverged, 4
@@ -21,10 +29,12 @@ solve stopped at the iteration limit.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import math
 import os
+import stat
 import sys
 from typing import Optional, Tuple
 
@@ -160,6 +170,23 @@ def _fmt(v: float) -> str:
     return repr(float(v))
 
 
+@contextlib.contextmanager
+def _rewrite(path: str):
+    """A text stream over `path` that leaves it holding exactly what was written.
+
+    Unlike open(path, "w") the file is not emptied first; a regular file
+    is cut to the written length on the way out, also when a write fails.
+    A FIFO or a device is never truncated.
+    """
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    with open(fd, "w", encoding="utf-8", newline="") as fh:
+        try:
+            yield fh
+        finally:
+            if stat.S_ISREG(os.fstat(fd).st_mode):
+                fh.truncate()
+
+
 def cmd_profile(args) -> int:
     spec, opts = load_config(args.config)
     if not 0.0 < args.t < math.inf:
@@ -185,12 +212,12 @@ def cmd_profile(args) -> int:
     out_path = args.out
     fronts_path = os.path.join(os.path.dirname(os.path.abspath(out_path)), "fronts.csv")
     try:
-        with open(out_path, "w", encoding="utf-8", newline="") as fh:
+        with _rewrite(out_path) as fh:
             fh.write("x,xi,u\n")
             for x in xs:
                 xi = x / sqrt_t
                 fh.write(f"{_fmt(x)},{_fmt(xi)},{_fmt(evaluate_profile(sol, xi))}\n")
-        with open(fronts_path, "w", encoding="utf-8", newline="") as fh:
+        with _rewrite(fronts_path) as fh:
             fh.write("i,xi,x_at_t\n")
             for i, xi in enumerate(sol.xi_star, start=1):
                 fh.write(f"{i},{_fmt(xi)},{_fmt(xi * sqrt_t)}\n")

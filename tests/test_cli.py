@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -341,6 +342,114 @@ class TestProfile:
         )
         assert code == 1
         assert "cannot write" in capsys.readouterr().err
+
+
+class TestProfileRewrite:
+    """profile writes over its CSV files in place and cuts them to the
+    written length: the bytes equal a fresh write, and the inode, its
+    mode and a symlink at --out stay as they were."""
+
+    # two fronts, so a one-front run later writes a shorter fronts.csv
+    TWO_FRONTS = {
+        "temperatures": [-1.0, 0.0, 1.0, 2.0],
+        "diffusivities": [1.0, 1.0, 1.0],
+        "conductivities": [1.0, 1.0, 1.0],
+        "stefan_numbers": [0.0, 0.0],
+    }
+
+    @staticmethod
+    def profile(cfg_path, out, samples=11):
+        return main(["profile", cfg_path, "--t", "1", "--x-min", "-5", "--x-max", "5",
+                     "--samples", str(samples), "--out", str(out)])
+
+    def fresh(self, tmp_path, cfg_path):
+        """profile.csv and fronts.csv of an 11-sample write to a new directory."""
+        fresh = tmp_path / "fresh"
+        fresh.mkdir()
+        assert self.profile(cfg_path, fresh / "profile.csv") == 0
+        return (fresh / "profile.csv").read_bytes(), (fresh / "fronts.csv").read_bytes()
+
+    def test_shorter_rewrite_equals_a_fresh_write(self, tmp_path):
+        cfg = write_config(tmp_path, SYM_OK)
+        two = write_config(tmp_path, self.TWO_FRONTS, "two.json")
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        out = out_dir / "profile.csv"
+        assert self.profile(two, out, samples=101) == 0
+        long_profile, long_fronts = out.read_bytes(), (out_dir / "fronts.csv").read_bytes()
+        assert len(long_profile.splitlines()) == 102
+        assert len(long_fronts.splitlines()) == 3
+        out.chmod(0o600)
+        inode = out.stat().st_ino
+
+        assert self.profile(cfg, out) == 0
+        profile, fronts = self.fresh(tmp_path, cfg)
+        assert len(profile) < len(long_profile) and len(fronts) < len(long_fronts)
+        assert out.read_bytes() == profile
+        assert (out_dir / "fronts.csv").read_bytes() == fronts
+        assert out.stat().st_ino == inode
+        assert out.stat().st_mode & 0o777 == 0o600
+
+    def test_symlinked_out_stays_a_symlink(self, tmp_path):
+        cfg = write_config(tmp_path, SYM_OK)
+        target = tmp_path / "target.csv"
+        target.write_text("stale\n" * 1000)
+        link = tmp_path / "link.csv"
+        link.symlink_to(target)
+        assert self.profile(cfg, link) == 0
+        assert link.is_symlink()
+        assert os.readlink(link) == str(target)
+        assert target.read_bytes() == self.fresh(tmp_path, cfg)[0]
+
+    def test_failure_mid_write_leaves_the_rows_written(self, tmp_path, capsys, monkeypatch):
+        cfg = write_config(tmp_path, SYM_OK)
+        profile, _ = self.fresh(tmp_path, cfg)
+        out = tmp_path / "profile.csv"
+        out.write_text("stale\n" * 1000)
+        rows = 4
+        calls = []
+        evaluate_profile = stefan.cli.evaluate_profile
+
+        def failing(sol, xi):
+            if len(calls) == rows:
+                raise OSError(28, "No space left on device")
+            calls.append(xi)
+            return evaluate_profile(sol, xi)
+
+        monkeypatch.setattr(stefan.cli, "evaluate_profile", failing)
+        capsys.readouterr()
+        assert self.profile(cfg, out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write output") and err.count("\n") == 1, err
+        assert out.read_bytes() == b"".join(profile.splitlines(keepends=True)[:1 + rows])
+
+    def test_out_naming_a_directory_exits_1(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, SYM_OK)
+        out = tmp_path / "a-directory"
+        out.mkdir()
+        assert self.profile(cfg, out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write output") and err.count("\n") == 1, err
+        assert list(out.iterdir()) == []
+
+    def test_fifo_is_written_and_not_truncated(self, tmp_path):
+        cfg = write_config(tmp_path, SYM_OK)
+        fifo = tmp_path / "profile.fifo"
+        os.mkfifo(fifo)
+        received = []
+
+        def drain():
+            with open(fifo, "rb") as fh:
+                received.append(fh.read())
+
+        reader = threading.Thread(target=drain, daemon=True)
+        reader.start()
+        code = self.profile(cfg, fifo)
+        reader.join(timeout=60)
+        assert not reader.is_alive()
+        assert code == 0
+        assert received == [self.fresh(tmp_path, cfg)[0]]
+        assert len(received[0].splitlines()) == 12
 
 
 class TestDump:
