@@ -15,10 +15,15 @@ configs re-parse bit for bit.
 profile writes its two CSV files in place: it opens each without
 emptying it first (following a symlink, keeping the inode and its mode),
 writes over it, and then cuts a regular file to the written length, on a
-write error as well. Nothing is fsynced. On ext4 (default auto_da_alloc)
-a file emptied by open(path, "w") is flushed to disk when it is closed;
-on a 2-core VM that made a 2001-sample profile process take 148 ms, 44 ms
-when written in place.
+write error as well. The reason is ext4 (default auto_da_alloc): a file
+emptied by open(path, "w") is flushed to disk when it is closed, so
+rewriting an existing file that way made the process wait on the disk;
+a new file costs the same either way. The cost is durability:
+nothing is fsynced, and without that implicit flush a power loss or OS
+crash in the half minute after profile exits can leave a file at the new
+length that still holds some of the previous run's rows, where a file
+emptied first could at worst be short or empty. A process killed mid-write
+leaves the rows it wrote followed by the rest of the previous file.
 
 Exit codes: 0 success (solve: Converged; check: coercive), 1 bad input,
 unwritable output, a Hessian that is not finite or an energy that
@@ -176,15 +181,20 @@ def _rewrite(path: str):
 
     Unlike open(path, "w") the file is not emptied first; a regular file
     is cut to the written length on the way out, also when a write fails.
-    A FIFO or a device is never truncated.
+    The cut is made at the descriptor's own offset after the stream is
+    closed, so it holds even when flushing the last rows fails. A FIFO or
+    a device is never truncated.
     """
     fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
-    with open(fd, "w", encoding="utf-8", newline="") as fh:
-        try:
+    try:
+        with open(fd, "w", encoding="utf-8", newline="", closefd=False) as fh:
             yield fh
-        finally:
+    finally:
+        try:
             if stat.S_ISREG(os.fstat(fd).st_mode):
-                fh.truncate()
+                os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR))
+        finally:
+            os.close(fd)
 
 
 def cmd_profile(args) -> int:

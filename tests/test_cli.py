@@ -423,6 +423,45 @@ class TestProfileRewrite:
         assert err.startswith("error: cannot write output") and err.count("\n") == 1, err
         assert out.read_bytes() == b"".join(profile.splitlines(keepends=True)[:1 + rows])
 
+    @pytest.mark.skipif(sys.platform == "win32", reason="needs RLIMIT_FSIZE")
+    @pytest.mark.parametrize("short", [25000, 100])
+    def test_failing_write_still_cuts_the_file(self, tmp_path, short):
+        # A file size limit `short` bytes below the full output makes the
+        # stream's own writes fail with EFBIG (Python ignores SIGXFSZ), over
+        # a longer file that already sits at --out: 25000 bytes short, a
+        # write in the loop fails; 100 bytes short, only the flush of the
+        # last rows when the stream is closed does.
+        cfg = write_config(tmp_path, SYM_OK)
+        fresh = tmp_path / "fresh"
+        fresh.mkdir()
+        assert self.profile(cfg, fresh / "profile.csv", samples=1001) == 0
+        profile = (fresh / "profile.csv").read_bytes()
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        out = out_dir / "profile.csv"
+        assert self.profile(cfg, out, samples=2001) == 0
+        limit = len(profile) - short
+        assert limit > 0 and out.stat().st_size > len(profile)
+
+        env = dict(os.environ)
+        src = str(Path(stefan.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        script = (
+            "import resource, sys\n"
+            "from stefan.cli import main\n"
+            f"resource.setrlimit(resource.RLIMIT_FSIZE, ({limit}, resource.RLIM_INFINITY))\n"
+            "sys.exit(main(sys.argv[1:]))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script, "profile", cfg, "--t", "1", "--x-min", "-5",
+             "--x-max", "5", "--samples", "1001", "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stderr.startswith("error: cannot write output"), proc.stderr
+        assert proc.stderr.count("\n") == 1, proc.stderr
+        assert out.read_bytes() == profile[:limit]
+
     def test_out_naming_a_directory_exits_1(self, tmp_path, capsys):
         cfg = write_config(tmp_path, SYM_OK)
         out = tmp_path / "a-directory"
