@@ -13,14 +13,16 @@ instead of grinding to max_iter.  On coercive data leaving the box ends
 nothing.
 
 The Hessian is tridiagonal, so each Newton step costs two passes over
-the strips (``energy._Point``: the energy, then the derivatives) and
-an O(n) LDL^T on its two bands, whose pivots double as the
-positive-definiteness test of the damping schedule.  The same pivots
-certify a minimum: a point with a vanishing gradient is reported
-Converged only if they are all positive, and is otherwise left along a
-direction of nonpositive curvature.  Once the energy is flat at machine
-resolution, a short bounded run of Newton steps is accepted on a strict
-decrease of the gradient instead.
+the strips (``energy._Point``: the energy, then the derivatives) and,
+per damping trial, one O(n) pass over its two bands that makes the
+LDL^T pivots and forward-substitutes -g together, stops at the first
+pivot <= 0 and back-substitutes only a complete factorization: the
+pivots double as the positive-definiteness test of the damping
+schedule.  The same pivots certify a minimum: a point with a vanishing
+gradient is reported Converged only if they are all positive, and is
+otherwise left along a direction of nonpositive curvature.  Once the
+energy is flat at machine resolution, a short bounded run of Newton
+steps is accepted on a strict decrease of the gradient instead.
 
 The first undamped step of a solve is capped by the barrier it runs
 into.  Each strip's energy term -w log(gap) is a log barrier: with a
@@ -44,6 +46,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import sys
 from dataclasses import dataclass
 from enum import Enum
@@ -91,6 +94,19 @@ class NewtonBreakdown(RuntimeError):
 
 @dataclass(frozen=True)
 class SolveOptions:
+    """Settings of ``minimize``.
+
+    grad_tol: the gradient max-norm at or below which a point with all
+        Hessian pivots positive is a certified minimum.
+    max_iter: the most Newton steps a solve may take.
+    xi_max: the box [-xi_max, xi_max] whose exit ends a solve on data
+        that are not coercive.
+    boundary_fraction: the longest first trial of a line search, as a
+        fraction of the way to the first collision of two fronts.
+    damping_min: the least positive damping lambda of a Newton step;
+        every positive lambda tried is damping_min * 2**k.
+    """
+
     grad_tol: float = 1e-12
     max_iter: int = 200
     xi_max: float = 1e2
@@ -107,8 +123,8 @@ class SolveOptions:
             raise ValueError("xi_max must be positive")
         if not 0.0 < self.boundary_fraction < 1.0:
             raise ValueError("boundary_fraction must lie in (0, 1)")
-        if not self.damping_min > 0.0:
-            raise ValueError("damping_min must be positive")
+        if not 0.0 < self.damping_min < math.inf:
+            raise ValueError("damping_min must be positive and finite")
 
 
 class SolveStatus(str, Enum):
@@ -125,6 +141,17 @@ class IterationRecord(NamedTuple):
 
 @dataclass(frozen=True)
 class SolveResult:
+    """The outcome of ``minimize``.
+
+    status: why the solve ended (see ``minimize``).
+    xi_star: the certified fronts when Converged, else None.
+    energy_value, grad_norm: the energy and the gradient max-norm at the
+        last iterate.
+    iterations: Newton steps taken, flat steps included.
+    trace: (iteration, energy, grad_norm) at the start and after each
+        accepted step that is not flat.
+    """
+
     status: SolveStatus
     xi_star: Optional[FreeBoundaries]
     energy_value: float
@@ -133,45 +160,39 @@ class SolveResult:
     trace: Tuple[IterationRecord, ...]
 
 
-def _ldl(diag, off, lam):
-    """LDL^T of the tridiagonal (T + lam*I), stopped at the first pivot <= 0.
+def _factor_solve(diag, off, lam, g):
+    """LDL^T of the tridiagonal T + lam*I, solving (T + lam*I) p = -g.
 
-    Returns (pivots, multipliers): l[i] is L's entry below the diagonal
-    in column i-1 (l[0] is unused).  T + lam*I is positive definite
-    exactly when all n pivots come back positive (Golub & Van Loan 4.3).
+    One loop makes the pivots, the multipliers and the forward
+    substitution of -g together, and returns at the first pivot <= 0;
+    only a complete factorization is back-substituted.  Returns
+    (k, l, p): k is the index of the first pivot <= 0, or n when all n
+    are positive, which is exactly when T + lam*I is positive definite
+    (Golub & Van Loan 4.3).  l[i] is L's entry below the diagonal in
+    column i-1, for 0 < i <= k (i < n); the rest of l is unused.  p is
+    None unless k == n.
     """
     n = len(diag)
-    piv = [0.0] * n
     l = [0.0] * n
-    prev = piv[0] = diag[0] + lam
-    for i in range(1, n):
+    p = [0.0] * n  # y[i] / d[i] of L y = -g, then the solution in place
+    prev = diag[0] + lam
+    acc = -g[0]
+    i = 0
+    for o in off:
         if not prev > 0.0:
-            return piv[:i], l[:i]
-        m = l[i] = off[i - 1] / prev
-        prev = piv[i] = diag[i] + lam - m * off[i - 1]
-    return piv, l
-
-
-def _ldl_solve(piv, l, g):
-    """Solve L D L^T p = -g from a complete factorization."""
-    n = len(piv)
-    y = [0.0] * n
-    acc = y[0] = -g[0]
-    for i in range(1, n):
-        acc = y[i] = -g[i] - l[i] * acc
-    p = [0.0] * n
-    acc = p[n - 1] = y[n - 1] / piv[n - 1]
-    for i in range(n - 2, -1, -1):
-        acc = p[i] = y[i] / piv[i] - l[i + 1] * acc
-    return p
-
-
-def _positive(piv, n):
-    return len(piv) == n and piv[-1] > 0.0
-
-
-def _dot(u, v):
-    return math.fsum([a * b for a, b in zip(u, v)])
+            return i, l, None
+        p[i] = acc / prev
+        i += 1
+        m = l[i] = o / prev
+        prev = diag[i] + lam - m * o
+        acc = -g[i] - m * acc
+    if not prev > 0.0:
+        return i, l, None
+    acc = p[i] = acc / prev
+    while i:
+        i -= 1
+        acc = p[i] = p[i] - l[i + 1] * acc
+    return n, l, p
 
 
 def _doublings_past(x, damping_min):
@@ -207,10 +228,9 @@ def _damped_step(g, diag, off, damping_min):
 
     def usable(k):
         lam = math.ldexp(damping_min, k) if k >= 0 else 0.0
-        piv, l = _ldl(diag, off, lam)
-        if _positive(piv, n):
-            p = _ldl_solve(piv, l, g)
-            slope = _dot(g, p)
+        p = _factor_solve(diag, off, lam, g)[2]
+        if p is not None:
+            slope = math.fsum(map(operator.mul, g, p))
             if slope < 0.0 or not any(g) or lam > bound:
                 return p, lam, slope
         return None
@@ -250,10 +270,9 @@ def _negative_curvature(diag, off):
     satisfies v^T T v = d_k.  v is scaled to unit max-norm.
     """
     n = len(diag)
-    piv, l = _ldl(diag, off, 0.0)
-    if _positive(piv, n):
+    k, l, _ = _factor_solve(diag, off, 0.0, [0.0] * n)  # p of a zero g is unused
+    if k == n:
         return None
-    k = len(piv) - 1
     v = [0.0] * n
     acc = v[k] = 1.0
     for i in range(k - 1, -1, -1):
@@ -267,18 +286,21 @@ def newton_step(
 ) -> Tuple[np.ndarray, float]:
     """Damped Newton direction at a feasible point.
 
-    Solves (H + lam*I) p = -g by an O(n) LDL^T on the two bands of the
-    tridiagonal Hessian.  lam = 0 when the Hessian is already positive
-    definite and its direction descends.  Otherwise lam is the least
-    damping_min * 2**k, k >= 0, whose pivots all come out positive and
-    whose direction descends, or that lies past the Gershgorin bound
-    max_i(|off_{i-1}| + |off_i| - diag_i), beyond which the damped matrix
-    is positive definite and the direction is returned as it is.  k is
-    bisected between k = -1 (lam = 0) and the least k past that bound,
-    so a step costs a few factorizations however large lam gets;
-    wherever usability is monotone in lam this is the k that walking up
-    from 0 finds.  The direction satisfies g.p < 0 unless the gradient
-    is zero (then p = 0) or g.p rounds to zero past that bound.  Raises
+    Solves (H + lam*I) p = -g on the two bands of the tridiagonal
+    Hessian, one O(n) pass per trial lam that factors LDL^T and
+    forward-substitutes together; a trial whose pivots are not all
+    positive ends at its first pivot <= 0, unsolved.  lam = 0 when the
+    Hessian is already positive definite and its direction descends.
+    Otherwise lam is the least damping_min * 2**k, k >= 0, whose pivots
+    all come out positive and whose direction descends, or that lies
+    past the Gershgorin bound max_i(|off_{i-1}| + |off_i| - diag_i),
+    beyond which the damped matrix is positive definite and the
+    direction is returned as it is.  k is bisected between k = -1
+    (lam = 0) and the least k past that bound, so a step costs a few
+    factorizations however large lam gets; wherever usability is
+    monotone in lam this is the k that walking up from 0 finds.  The
+    direction satisfies g.p < 0 unless the gradient is zero (then
+    p = 0) or g.p rounds to zero past that bound.  Raises
     NewtonBreakdown only when the Hessian is not finite.
     """
     import numpy as np
@@ -469,7 +491,7 @@ def minimize(
                 status = SolveStatus.MAX_ITERATIONS
                 break
         else:
-            slope = _dot(point.gradient(), p)
+            slope = math.fsum(map(operator.mul, point.gradient(), p))
             if slope > 0.0:
                 p, slope = [-v for v in p], -slope
         # below the last recorded energy too, after flat steps
@@ -564,6 +586,13 @@ def single_front_bisection(
 
 @dataclass(frozen=True)
 class GridSearchResult:
+    """The best grid point of ``grid_search``.
+
+    xi: the grid point of least energy.
+    energy: its energy.
+    on_boundary: whether any coordinate lies on a face of the box.
+    """
+
     xi: FreeBoundaries
     energy: float
     on_boundary: bool

@@ -55,6 +55,15 @@ _SQRT2 = math.sqrt(2.0)
 
 @dataclass(frozen=True)
 class Piece:
+    """The profile on one phase, v(xi) = u_lo + scale * (cdf(xi/a) - cdf_lo).
+
+    a: the phase's diffusivity.
+    u_lo, u_hi: the temperatures at its lower and upper front (the far
+        fields for the two unbounded phases).
+    cdf_lo, cdf_hi: cdf of the scaled ends xi_lo/a and xi_hi/a.
+    scale: (u_hi - u_lo) / (cdf_hi - cdf_lo), taken through log_gap.
+    """
+
     a: float
     u_lo: float
     u_hi: float
@@ -69,6 +78,13 @@ class Piece:
 
 @dataclass(frozen=True)
 class SelfSimilarSolution:
+    """A self-similar profile: the problem, its fronts and one piece per phase.
+
+    spec: the problem solved.
+    xi_star: the n fronts, strictly increasing.
+    pieces: the n + 1 pieces, phase 0 (left of xi_star[0]) first.
+    """
+
     spec: ProblemSpec
     xi_star: Tuple[float, ...]
     pieces: Tuple[Piece, ...]

@@ -5,8 +5,9 @@ generators with controlled well-posedness properties.
 Everything here deliberately avoids the library's own evaluation paths
 where it serves as an oracle: quad_cdf integrates the defining integral
 directly, the finite-difference routines only consume energies or
-gradients as black boxes, and MultiPassPoint spells out the energy and
-its derivatives one formula per pass.
+gradients as black boxes, MultiPassPoint spells out the energy and
+its derivatives one formula per pass, and ldl_newton factors first and
+solves afterwards.
 """
 import math
 
@@ -14,7 +15,6 @@ import numpy as np
 from scipy.integrate import quad
 
 from stefan import NewtonBreakdown, ProblemSpec, energy, gradient, kernel
-from stefan.optimize import _dot, _ldl, _ldl_solve, _positive
 
 
 def quad_cdf(x: float) -> float:
@@ -144,6 +144,39 @@ def random_fronts(rng: np.random.Generator, n: int) -> tuple:
     return tuple(float(v) for v in xi)
 
 
+def dot(u, v):
+    """u.v, correctly rounded."""
+    return math.fsum([a * b for a, b in zip(u, v)])
+
+
+def ldl_newton(g, diag, off, lam):
+    """Textbook solve of (T + lam*I) p = -g for the tridiagonal T.
+
+    Factors T + lam*I = L D L^T first (Golub & Van Loan 4.3), stopping
+    at the first pivot <= 0, then solves L y = -g and D L^T p = y.
+    Returns (k, l, p, g.p): k is the index of the first pivot <= 0, or
+    n; l[i] is L's entry below the diagonal in column i-1 (l[0] unused),
+    for i <= k; p and g.p are None unless k == n.
+    """
+    n = len(diag)
+    piv = [diag[0] + lam]
+    l = [0.0]
+    while len(piv) < n and piv[-1] > 0.0:
+        i = len(piv)
+        l.append(off[i - 1] / piv[i - 1])
+        piv.append(diag[i] + lam - l[i] * off[i - 1])
+    if not piv[-1] > 0.0:
+        return len(piv) - 1, l, None, None
+    y = [-g[0]]
+    for i in range(1, n):
+        y.append(-g[i] - l[i] * y[i - 1])
+    p = [0.0] * n
+    p[n - 1] = y[n - 1] / piv[n - 1]
+    for i in range(n - 2, -1, -1):
+        p[i] = y[i] / piv[i] - l[i + 1] * p[i + 1]
+    return n, l, p, dot(g, p)
+
+
 def damped_step(g, diag, off, damping_min):
     """Reference damping schedule: walk lam = 0, damping_min, 2*damping_min, ...
 
@@ -164,11 +197,9 @@ def damped_step(g, diag, off, damping_min):
     bound = max(shift, 0.0)
     lam = 0.0
     while True:
-        piv, l = _ldl(diag, off, lam)
-        if _positive(piv, n):
-            p = _ldl_solve(piv, l, g)
-            if _dot(g, p) < 0.0 or not any(g) or lam > bound:
-                return p, lam
+        _, _, p, slope = ldl_newton(g, diag, off, lam)
+        if p is not None and (slope < 0.0 or not any(g) or lam > bound):
+            return p, lam
         lam = damping_min if lam == 0.0 else 2.0 * lam
         if lam == math.inf:
             raise NewtonBreakdown("damping overflowed without a usable direction")

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import stefan
+import stefan.optimize
 from stefan import SolveOptions
 from stefan.cli import ConfigError, load_config, main
 
@@ -44,6 +45,13 @@ ASYM = {
 # ASYM with latent heat: the zero-latent-heat start is not its solution,
 # so the solve takes several Newton steps
 ASYM_LATENT = dict(ASYM, stefan_numbers=[0.5])
+# not coercive and not convex: the escape takes damped Newton steps
+DAMPED = {
+    "temperatures": [-1.0, 0.0, 3.0],
+    "diffusivities": [1.0, 0.5],
+    "conductivities": [1.0, 2.0],
+    "stefan_numbers": [-1.5],
+}
 
 
 def write_config(tmp_path, payload, name="cfg.json"):
@@ -105,6 +113,17 @@ class TestLoadConfig:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error:") and "max_iter" in captured.err
+
+    def test_rejects_infinite_damping_min(self, tmp_path, capsys):
+        # JSON's 1e309 parses to inf
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(DAMPED)[:-1] + ', "solver": {"damping_min": 1e309}}')
+        with pytest.raises(ConfigError, match="damping_min"):
+            load_config(str(path))
+        assert main(["solve", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
 
     def test_rejects_nan(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -191,6 +210,24 @@ class TestSolve:
         assert payload["status"] == "Diverged"
         assert payload["xi_star"] is None
         assert payload["residuals"] is None
+
+    def test_damped_escape_exits_3(self, tmp_path, capsys, monkeypatch):
+        lams = []
+        damped = stefan.optimize._damped_step
+
+        def recording(*args):
+            step = damped(*args)
+            lams.append(step[1])
+            return step
+
+        monkeypatch.setattr(stefan.optimize, "_damped_step", recording)
+        code = main(["solve", write_config(tmp_path, DAMPED)])
+        payload = json.loads(capsys.readouterr().out)
+        assert code == 3
+        assert payload["status"] == "Diverged"
+        assert payload["iterations"] == 5
+        # damping_min * 2**k: about 0.275, 0.55 and 0.275
+        assert [lam for lam in lams if lam > 0.0] == [math.ldexp(1e-12, k) for k in (38, 39, 38)]
 
     def test_saddle_at_default_start_exits_3(self, tmp_path, capsys):
         # the default start xi = 0 is a stationary point with negative

@@ -25,10 +25,12 @@ from stefan import (
 
 import stefan.optimize
 from stefan.energy import _Point
-from stefan.optimize import _damped_step, _default_start, _dot, _negative_curvature
+from stefan.optimize import _damped_step, _default_start, _factor_solve, _negative_curvature
 
 from helpers import (
     damped_step,
+    dot,
+    ldl_newton,
     random_coercive_spec,
     random_convex_spec,
     random_fronts,
@@ -77,6 +79,12 @@ class TestSolveOptions:
             SolveOptions(boundary_fraction=1.0)
         with pytest.raises(ValueError):
             SolveOptions(xi_max=-1.0)
+
+    @pytest.mark.parametrize("damping_min", [0.0, -1e-12, math.inf, math.nan])
+    def test_damping_min_must_be_positive_and_finite(self, damping_min):
+        # an infinite damping_min damps every trial to p = 0
+        with pytest.raises(ValueError, match="damping_min"):
+            SolveOptions(damping_min=damping_min)
 
     def test_max_iter_must_be_whole(self):
         # the iteration count never equals a fractional limit, so it
@@ -181,7 +189,7 @@ def _indefinite_bands(rng, n, need):
 def _checked_step(g, diag, off, damping_min):
     """_damped_step's (p, lam), once its third value is g.p bit for bit."""
     p, lam, slope = _damped_step(g, diag, off, damping_min)
-    assert slope.hex() == _dot(g, p).hex()
+    assert slope.hex() == dot(g, p).hex()
     return p, lam
 
 
@@ -237,6 +245,57 @@ _SCHEDULE_EDGES = [
 ]
 
 
+def _same_factor_solve(g, diag, off, lam):
+    """_factor_solve against the factor-then-solve oracle, in hex; returns k."""
+    k, l, p = _factor_solve(diag, off, lam, g)
+    want_k, want_l, want_p, want_slope = ldl_newton(g, diag, off, lam)
+    assert k == want_k
+    assert [v.hex() for v in l[1 : k + 1]] == [v.hex() for v in want_l[1:]]
+    if want_p is None:
+        assert p is None
+    else:
+        assert [v.hex() for v in p] == [v.hex() for v in want_p]
+        assert dot(g, p).hex() == want_slope.hex()
+    return k
+
+
+class TestFactorSolve:
+    """One pass that factors, tests and solves, against factor-then-solve."""
+
+    @pytest.mark.parametrize("n", [1, 2, 8, 50, 200])
+    def test_damping_schedule_matches_the_oracle(self, n):
+        rng = np.random.default_rng([83, n])
+        complete = incomplete = 0
+        for trial in range(6):
+            g = [float(v) for v in rng.normal(size=n)]
+            if trial % 2:
+                diag, off = _indefinite_bands(rng, n, 10.0 ** rng.uniform(-12.0, 3.0))
+            else:  # diagonally dominant, so positive definite
+                diag = [float(v) for v in rng.uniform(2.0, 3.0, size=n)]
+                off = [float(v) for v in rng.uniform(-0.9, 0.9, size=n - 1)]
+            for lam in [0.0] + [math.ldexp(1e-12, k) for k in range(0, 60, 3)]:
+                if _same_factor_solve(g, diag, off, lam) == n:
+                    complete += 1
+                else:
+                    incomplete += 1
+        assert complete and incomplete
+
+    @pytest.mark.parametrize("n", [1, 2, 8, 50, 200])
+    def test_first_failing_pivot_anywhere(self, n):
+        rng = np.random.default_rng([89, n])
+        g = [float(v) for v in rng.normal(size=n)]
+        diag = [float(v) for v in rng.uniform(2.0, 3.0, size=n)]
+        off = [float(v) for v in rng.uniform(-0.9, 0.9, size=n - 1)]
+        for j in sorted({0, n // 2, n - 1}):
+            bad = list(diag)
+            bad[j] = -1.0
+            for lam in (0.0, 1e-12, 0.5):
+                assert _same_factor_solve(g, bad, off, lam) == j
+        # a pivot of exactly zero fails too
+        bad = [0.0] + diag[1:]
+        assert _same_factor_solve(g, bad, off, 0.0) == 0
+
+
 class TestDampingSchedule:
     def test_bisection_matches_the_walk(self):
         rng = np.random.default_rng(71)
@@ -281,13 +340,13 @@ class TestDampingSchedule:
 
     def test_factorizations_per_damped_step(self, monkeypatch):
         calls = []
-        ldl = stefan.optimize._ldl
+        factor_solve = stefan.optimize._factor_solve
 
-        def counted(diag, off, lam):
+        def counted(diag, off, lam, g):
             calls.append(lam)
-            return ldl(diag, off, lam)
+            return factor_solve(diag, off, lam, g)
 
-        monkeypatch.setattr(stefan.optimize, "_ldl", counted)
+        monkeypatch.setattr(stefan.optimize, "_factor_solve", counted)
         rng = np.random.default_rng(79)
         for n in (1, 2, 8, 50):
             for _ in range(10):
