@@ -28,6 +28,10 @@ narrow strip's log gap takes neither: it is log(width) +
 log_pdf(midpoint) plus the log1p of a short series in the width.  Plus
 and minus infinity are legal inputs everywhere and map to the exact
 limit values.  All functions are pure and reentrant.
+
+``solution.evaluate_profile``, the profile lookup, writes cdf inline
+(the same expression, operation for operation), so a change to cdf
+must be made there too; a test holds the two equal bit for bit.
 """
 
 from __future__ import annotations

@@ -127,6 +127,10 @@ class SolveOptions:
             raise ValueError("damping_min must be positive and finite")
 
 
+# minimize's default settings; frozen, so one instance serves every call
+_DEFAULT_OPTIONS = SolveOptions()
+
+
 class SolveStatus(str, Enum):
     CONVERGED = "Converged"
     DIVERGED = "Diverged"
@@ -462,7 +466,7 @@ def minimize(
     attribute ``_point``, outside the dataclass fields, so that
     ``solution.assemble`` reuses its strips instead of rebuilding them.
     """
-    opts = SolveOptions() if opts is None else opts
+    opts = _DEFAULT_OPTIONS if opts is None else opts
     if start is None:
         point = _default_start(spec)
     else:

@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from math import erfc
 from operator import itemgetter
 from typing import TYPE_CHECKING, Tuple
 
@@ -51,6 +52,11 @@ _ODE_C_U = 4.0 * (1.0 + 2.0**-20) * 2.0**-53
 _ODE_TINY = 2.0**-1073
 _ODE_Q_SAFE = 2.0**1017
 _SQRT2 = math.sqrt(2.0)
+
+# validate's last (samples_per_phase, Chebyshev cosines) pair.  It is
+# replaced whole, never mutated, so a caller reads one m with its own
+# cosines even while another thread swaps it.
+_COSINES: Tuple[int, Tuple[float, ...]] = (0, ())
 
 
 @dataclass(frozen=True)
@@ -138,13 +144,25 @@ def evaluate_profile(sol: SelfSimilarSolution, xi: float) -> float:
     """Temperature at similarity coordinate xi; +-inf give the far fields.
 
     At an interface both one-sided limits equal the phase temperature,
-    which is what gets returned.
+    which is what gets returned.  The piece lookup and cdf(xi/a) are
+    written inline, cdf as ``kernel.cdf``'s own expression, with the
+    same operations in the same order, so the value is the same bit for
+    bit; math.erfc maps +-inf to 2 and 0, which gives cdf's limits.
     """
-    j = _piece_index(sol, xi)
-    if j > 0 and sol.xi_star[j - 1] == xi:
+    if xi != xi:
+        raise ValueError("xi must not be NaN")
+    fronts = sol.xi_star
+    j = bisect_right(fronts, xi)
+    if j > 0 and fronts[j - 1] == xi:
         return sol.spec.u[j]
     p = sol.pieces[j]
-    c = kernel.cdf(xi / p.a)
+    z = 0.5 * (xi / p.a)  # kernel.cdf(xi / p.a), inlined
+    if z <= 0.0:
+        c = 0.5 * erfc(-z)
+    elif z > 0.0:
+        c = 1.0 - 0.5 * erfc(z)
+    else:
+        raise ValueError("cdf: argument must not be NaN")
     if c <= 0.5 * (p.cdf_lo + p.cdf_hi):  # p.cdf_mid, inlined
         return p.u_lo + p.scale * (c - p.cdf_lo)
     return p.u_hi + p.scale * (c - p.cdf_hi)
@@ -171,9 +189,9 @@ def profile_curvature(sol: SelfSimilarSolution, xi: float) -> float:
 
 
 def evaluate_spacetime(sol: SelfSimilarSolution, t: float, x: float) -> float:
-    """Temperature of the space-time solution u(t, x) for t > 0."""
-    if not t > 0.0:
-        raise ValueError("t must be positive")
+    """Temperature of the space-time solution u(t, x) for finite t > 0."""
+    if not 0.0 < t < math.inf:
+        raise ValueError("t must be positive and finite")
     return evaluate_profile(sol, x / math.sqrt(t))
 
 
@@ -360,9 +378,15 @@ def validate(sol: SelfSimilarSolution, samples_per_phase: int) -> ResidualReport
     n = len(fronts)
 
     # Chebyshev nodes of each phase are mid + half * cos(...), with the
-    # same cosines for every phase
+    # same cosines for every phase, and for every call with this m
+    global _COSINES
     m = int(samples_per_phase)
-    cosines = [math.cos((2 * j - 1) * math.pi / (2 * m)) for j in range(1, m + 1)]
+    cached_m, cosines = _COSINES
+    if cached_m != m:
+        cosines = tuple(
+            math.cos((2 * j - 1) * math.pi / (2 * m)) for j in range(1, m + 1)
+        )
+        _COSINES = (m, cosines)
     exp = math.exp
     max_ode = 0.0
     for bound, mid, half, a, q, q_a in _ode_windows(sol):

@@ -2,6 +2,9 @@
 import dataclasses
 import math
 import pickle
+import sys
+import threading
+from bisect import bisect_right
 
 import numpy as np
 import pytest
@@ -209,6 +212,59 @@ class TestProfile:
         with pytest.raises(ValueError, match="xi must not be NaN"):
             fn(sol, math.nan)
 
+    def test_inline_cdf_is_the_two_anchor_formula(self):
+        # evaluate_profile writes kernel.cdf inline; it must keep giving
+        # the two-anchor formula through kernel.cdf, bit for bit
+        def want(sol, xi):
+            j = bisect_right(sol.xi_star, xi)
+            if j > 0 and sol.xi_star[j - 1] == xi:
+                return sol.spec.u[j]
+            p = sol.pieces[j]
+            c = kernel.cdf(xi / p.a)
+            if c <= p.cdf_mid:
+                return p.u_lo + p.scale * (c - p.cdf_lo)
+            return p.u_hi + p.scale * (c - p.cdf_hi)
+
+        grid = [float(v) for v in np.linspace(-10.0, 10.0, 129)]
+        ends = [0.0, -0.0, math.inf, -math.inf]
+        sols = []
+        for seed, n in enumerate((1, 3, 8)):
+            spec = random_convex_spec(np.random.default_rng(seed), n)
+            res = minimize(spec)
+            assert res.status is SolveStatus.CONVERGED
+            sols.append((assemble(spec, res.xi_star), grid))
+        for a in (1e-310, 1e170, -1.7):
+            pieces = tuple(
+                solution.Piece(a=a, u_lo=u, u_hi=u + 1.0, cdf_lo=lo, cdf_hi=hi,
+                               scale=scale)
+                for u, lo, hi, scale in ((-1.0, 0.0, 0.5, 2.0), (0.0, 0.5, 1.0, 2.0))
+            )
+            points = [f * abs(a) for f in (-40.0, -3.0, -0.5, 0.25, 2.0, 40.0)]
+            sols.append((solution.SelfSimilarSolution(SYM, (0.0,), pieces),
+                         points + [5e-324, -5e-324, 1e308, -1e308]))
+        checked = 0
+        for sol, points in sols:
+            near = [math.nextafter(f, d) for f in sol.xi_star
+                    for d in (-math.inf, math.inf)]
+            for xi in points + list(sol.xi_star) + near + ends:
+                got = evaluate_profile(sol, xi)
+                assert got.hex() == want(sol, xi).hex(), (xi, sol.pieces[0].a)
+                checked += 1
+        assert checked > 3 * 129
+
+    def test_inline_cdf_rejects_a_nan_quotient(self):
+        # xi / a is NaN for a = xi = inf, which cdf itself rejects
+        pieces = tuple(
+            solution.Piece(a=math.inf, u_lo=0.0, u_hi=1.0, cdf_lo=0.0,
+                           cdf_hi=1.0, scale=1.0)
+            for _ in range(2)
+        )
+        sol = solution.SelfSimilarSolution(SYM, (0.0,), pieces)
+        with pytest.raises(ValueError, match="cdf: argument must not be NaN"):
+            kernel.cdf(math.inf / math.inf)
+        with pytest.raises(ValueError, match="cdf: argument must not be NaN"):
+            evaluate_profile(sol, math.inf)
+
     def test_finite_curvature_is_the_closed_form(self, solved_three):
         # the branch for infinite xi leaves every finite value as it was
         grid = [float(g) for g in np.linspace(-60.0, 60.0, 241)] + [-1e300, 1e300]
@@ -231,6 +287,16 @@ class TestSpacetime:
             evaluate_spacetime(sol, 0.0, 1.0)
         with pytest.raises(ValueError):
             evaluate_spacetime(sol, -1.0, 1.0)
+
+    @pytest.mark.parametrize(
+        "t, x", [(math.inf, 1.0), (math.inf, math.inf), (math.nan, 1.0),
+                 (-math.inf, 1.0)]
+    )
+    def test_rejects_nonfinite_time(self, t, x):
+        # u(inf, x) would read v(0), and inf / inf would blame xi
+        sol = assemble(SYM, (0.0,))
+        with pytest.raises(ValueError, match="t must be positive and finite"):
+            evaluate_spacetime(sol, t, x)
 
     def test_scaling_invariance(self, solved_three):
         rng = np.random.default_rng(13)
@@ -450,6 +516,54 @@ class TestResiduals:
             ValueError, match="samples_per_phase must be a whole number, at least 3"
         ):
             validate(solved_three, m)
+
+    def test_cosines_follow_the_sample_count(self, solved_three):
+        # validate keeps the last m's cosines; a changed m must rebuild
+        # them, and each report must equal the unpruned per-sample loop
+        for m in (9, 33, 33.0, 3, 9):
+            report = validate(solved_three, m)
+            m = int(m)
+            want = max(_factored(p, t) for p, t in _ode_samples(solved_three, m))
+            assert report.max_ode_residual.hex() == want.hex(), m
+            assert report.samples == m * (THREE.n + 1)
+
+    def test_cosines_are_shared_safely_between_threads(self, solved_three):
+        # threads alternating m = 9 and m = 33, out of step, swap the
+        # cached cosines under each other; every report must be the one a
+        # single thread gets
+        def bits(report):
+            return tuple(v.hex() if isinstance(v, float) else v
+                         for v in dataclasses.astuple(report))
+
+        want = {m: bits(validate(solved_three, m)) for m in (9, 33)}
+        workers = 4  # more than the cores of a small runner
+        start = threading.Barrier(workers)
+        wrong = []
+        done = []
+
+        def work(first):
+            start.wait(timeout=60)
+            for i in range(1000):
+                m = (9, 33)[(i + first) % 2]
+                got = bits(validate(solved_three, m))
+                if got != want[m]:
+                    wrong.append((m, got))
+            done.append(first)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(k,))
+                       for k in range(workers)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        assert sorted(done) == list(range(workers))
+        assert wrong == []
 
     def test_whole_float_samples_per_phase(self, solved_three):
         report = validate(solved_three, 33.0)
