@@ -387,7 +387,17 @@ def _running_fsums(terms: Sequence[float], suffixes: bool = False) -> list:
 
 
 def check_wellposedness(spec: ProblemSpec) -> WellPosednessReport:
-    """The exact criteria; EnergyOverflow if a sum passes the largest double."""
+    """The exact criteria; EnergyOverflow if a sum passes the largest double.
+
+    The report is computed once per spec and kept on it as ``_report``,
+    outside the dataclass fields, as ``_strip_weights`` is, so eq, hash,
+    repr, replace and asdict ignore it; it is frozen, so every caller can
+    share it.  EnergyOverflow is raised again on every call.
+    """
+    try:
+        return spec._report
+    except AttributeError:
+        pass
     n = spec.n
     load = spec._strip_weights[2]  # kappa_i (u_{i+1} - u_i)
 
@@ -411,7 +421,7 @@ def check_wellposedness(spec: ProblemSpec) -> WellPosednessReport:
     borderline = any(
         abs(v) <= BORDERLINE_TOL for v in (*s_upper, *s_lower, *margins)
     )
-    return WellPosednessReport(
+    report = WellPosednessReport(
         S_upper=s_upper,
         S_lower=s_lower,
         coercive=coercive,
@@ -419,6 +429,8 @@ def check_wellposedness(spec: ProblemSpec) -> WellPosednessReport:
         strictly_convex_sufficient=convex,
         borderline=borderline,
     )
+    object.__setattr__(spec, "_report", report)
+    return report
 
 
 def energy(spec: ProblemSpec, xi: Fronts) -> float:

@@ -6,11 +6,11 @@ positions and blows up (+inf) whenever two interfaces touch, so a line
 search that never steps more than a fixed fraction of the way to the
 cone boundary keeps every iterate feasible.  The energy has a
 minimizer exactly when it is coercive; when the coercivity criterion
-fails the infimum is -inf along explicit escape rays.  ``minimize``
-ends such a solve as Diverged at the first iterate that leaves a large
-box, once ``check_wellposedness`` confirms the data are not coercive,
-instead of grinding to max_iter.  On coercive data leaving the box ends
-nothing.
+fails the infimum is -inf along explicit escape rays (``ray_point``).
+So ``minimize`` reads the exact verdict of ``check_wellposedness``
+before any step and ends a solve on data that are not coercive as
+Diverged at its start point, with no Newton step.  Converged means the
+minimizer whose existence that verdict decides.
 
 The Hessian is tridiagonal, so each Newton step costs two passes over
 the strips (``energy._Point``: the energy, then the derivatives) and,
@@ -99,8 +99,10 @@ class SolveOptions:
     grad_tol: the gradient max-norm at or below which a point with all
         Hessian pivots positive is a certified minimum.
     max_iter: the most Newton steps a solve may take.
-    xi_max: the box [-xi_max, xi_max] whose exit ends a solve on data
-        that are not coercive.
+    xi_max: kept as a field, a config key and in ``stefan dump``, and
+        still checked to be positive, but it no longer affects a solve:
+        ``minimize`` decides divergence by the coercivity verdict, not
+        by an iterate leaving [-xi_max, xi_max].
     boundary_fraction: the longest first trial of a line search, as a
         fraction of the way to the first collision of two fronts.
     damping_min: the least positive damping lambda of a Newton step;
@@ -418,8 +420,17 @@ def minimize(
     exact when d = 0 and a is uniform, for any k; equispaced around the
     origin if those fronts do not resolve) unless an explicit
     feasible start is given.  An explicit start is validated as in
-    ``energy``.  Feasibility is then tested only inside ``energy._Point``,
-    whose first strip pass checks that every scaled strip is nonempty.
+    ``energy``, and an infeasible one raises.  Feasibility is then tested
+    only inside ``energy._Point``, whose first strip pass checks that
+    every scaled strip is nonempty.
+
+    The start point built, the solve reads ``check_wellposedness(spec)``
+    (computed once per spec, and raising EnergyOverflow when its sums
+    overflow).  On data that are not coercive the energy is unbounded
+    below along an escape ray, so the solve ends there: Diverged, 0
+    iterations, the start point's energy and gradient max-norm, and a
+    trace of the start record alone, whatever start was given.  Only
+    coercive data reach the loop below.
 
     Each pass of the loop takes a direction, searches along it, and then
     exits or goes on.  Every exit sets the status and leaves the loop;
@@ -452,15 +463,15 @@ def minimize(
 
     Converged      the loop head certifies the point; this is also the
                    last test once opts.max_iter steps are used up
-    Diverged       the data fail the coercivity criterion and an
-                   iterate left [-xi_max, xi_max]; decided at the first
-                   such iterate, by one call to ``check_wellposedness``
+    Diverged       the data fail the coercivity criterion; decided
+                   before any step, so iterations is 0
     MaxIterations  opts.max_iter steps used up, a damped direction that
                    does not descend, or no trial accepted
 
-    opts.xi_max only matters on data that are not coercive.  Coercive
-    data have a minimizer, so an iterate outside the box keeps going and
-    the solve ends Converged or MaxIterations, never Diverged.
+    Coercive data have a minimizer, so however far an iterate goes the
+    solve ends Converged or MaxIterations, never Diverged; opts.xi_max
+    plays no part.  The curvature direction and the damped step still
+    serve coercive data whose energy is not convex.
 
     A Converged result's xi_star carries the final ``_Point`` as the
     attribute ``_point``, outside the dataclass fields, so that
@@ -472,9 +483,13 @@ def minimize(
     else:
         point = _Point(spec, list(_fronts(spec, start)))
     trace = [IterationRecord(0, point.energy, point.grad_norm())]
+    if not check_wellposedness(spec).coercive:
+        # unbounded below along an escape ray: there is no minimizer to find
+        return SolveResult(
+            SolveStatus.DIVERGED, None, point.energy, trace[0].grad_norm, 0, tuple(trace)
+        )
     iterations = 0
     flat_left = _FLAT_STEPS
-    coercive = None  # decided at the first escape, if there is one
 
     while True:
         p = None
@@ -512,14 +527,6 @@ def minimize(
             flat_left -= 1
             continue
         trace.append(IterationRecord(iterations, point.energy, point.grad_norm()))
-        x = point.fronts
-        # x is increasing, so its ends hold the largest |x_i|
-        if -x[0] > opts.xi_max or x[-1] > opts.xi_max:
-            if coercive is None:
-                coercive = check_wellposedness(spec).coercive
-            if not coercive:
-                status = SolveStatus.DIVERGED
-                break
 
     xi_star = None
     if status is SolveStatus.CONVERGED:

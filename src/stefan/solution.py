@@ -192,6 +192,8 @@ def evaluate_spacetime(sol: SelfSimilarSolution, t: float, x: float) -> float:
     """Temperature of the space-time solution u(t, x) for finite t > 0."""
     if not 0.0 < t < math.inf:
         raise ValueError("t must be positive and finite")
+    if math.isnan(x):
+        raise ValueError("x must not be NaN")
     return evaluate_profile(sol, x / math.sqrt(t))
 
 

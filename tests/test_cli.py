@@ -28,8 +28,8 @@ SYM_NONCOERCIVE = {
     "conductivities": [1.0, 1.0],
     "stefan_numbers": [-1.5],
 }
-# asymmetric and non-coercive: the default start is not a stationary
-# point, so the iterates genuinely escape
+# asymmetric and non-coercive: Diverged although the default start is
+# not a stationary point
 ESCAPING = {
     "temperatures": [-1.0, -0.2, 0.3, 1.0],
     "diffusivities": [1.0, 0.9, 1.1],
@@ -45,12 +45,21 @@ ASYM = {
 # ASYM with latent heat: the zero-latent-heat start is not its solution,
 # so the solve takes several Newton steps
 ASYM_LATENT = dict(ASYM, stefan_numbers=[0.5])
-# not coercive and not convex: the escape takes damped Newton steps
+# not coercive and not convex: its iterates used to escape by damped
+# Newton steps; the coercivity sums now end it before any step
 DAMPED = {
     "temperatures": [-1.0, 0.0, 3.0],
     "diffusivities": [1.0, 0.5],
     "conductivities": [1.0, 2.0],
     "stefan_numbers": [-1.5],
+}
+# coercive and not convex: the first Newton step from the default start
+# is damped, and the solve converges
+DAMPED_COERCIVE = {
+    "temperatures": [-1.5, -0.5, 0.5, 1.5, 2.5],
+    "diffusivities": [1.0, 1.0, 1.0, 1.0],
+    "conductivities": [1.0, 1.0, 1.0, 1.0],
+    "stefan_numbers": [5.0, -5.0, 5.0],
 }
 
 
@@ -225,9 +234,16 @@ class TestSolve:
         payload = json.loads(capsys.readouterr().out)
         assert code == 3
         assert payload["status"] == "Diverged"
-        assert payload["iterations"] == 5
-        # damping_min * 2**k: about 0.275, 0.55 and 0.275
-        assert [lam for lam in lams if lam > 0.0] == [math.ldexp(1e-12, k) for k in (38, 39, 38)]
+        assert payload["iterations"] == 0
+        assert lams == []
+        # on coercive data the damped step still serves: damping_min * 2**39,
+        # about 0.55, then undamped steps to the minimum
+        code = main(["solve", write_config(tmp_path, DAMPED_COERCIVE)])
+        payload = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert payload["status"] == "Converged"
+        assert lams == [math.ldexp(1e-12, 39)] + [0.0] * (payload["iterations"] - 1)
+        assert payload["xi_star"] == pytest.approx([-0.4909, 0.0, 0.4909], abs=1e-4)
 
     def test_saddle_at_default_start_exits_3(self, tmp_path, capsys):
         # the default start xi = 0 is a stationary point with negative
@@ -656,6 +672,21 @@ class TestEnergyOverflow:
         assert proc.stderr.startswith("error:")
         assert proc.stderr.count("\n") == 1
         assert "Traceback" not in proc.stderr
+
+    def test_overflowing_sums_end_solve_with_exit_1(self, tmp_path, capsys):
+        # finite energy terms, but the sum 2 + 2e308 of S_upper does not
+        # fit; the solve raises before any step
+        cfg = {
+            "temperatures": [-1.0, 0.0, 1.0, 2.0],
+            "diffusivities": [1.0, 1.0, 1.0],
+            "conductivities": [1.0, 1.0, 1.0],
+            "stefan_numbers": [1e308, 1e308],
+        }
+        assert main(["solve", write_config(tmp_path, cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: well-posedness sums pass the largest double")
+        assert captured.err.count("\n") == 1
 
     # finite loads whose well-posedness sum 1e308 + 1.7e308 overflows
     CHECK_CONFIG = {

@@ -1,5 +1,6 @@
 """Energy model: data validation, frozen values, derivative consistency,
 well-posedness arithmetic, and the structural Hessian properties."""
+import importlib
 import math
 
 import numpy as np
@@ -363,11 +364,41 @@ class TestWellPosedness:
         assert rep.coercive and rep.strictly_convex_sufficient
         assert rep.S_lower[0] == pytest.approx(6.75e307, rel=1e-15)
 
+    def test_report_is_computed_once_per_spec(self, monkeypatch):
+        spec = ProblemSpec(u=(-1.0, 0.0, 2.0), a=(1.0, 1.5), k=(1.0, 0.5), d=(-0.2,))
+        first = check_wellposedness(spec)
+        # a second call must not sum again (stefan.energy is the function,
+        # so the module is looked up by name)
+        module = importlib.import_module("stefan.energy")
+        monkeypatch.setattr(module, "_running_fsums", None)
+        assert check_wellposedness(spec) is first
+        monkeypatch.undo()
+        # replace builds a new spec, and that gets its own report
+        import dataclasses
+
+        other = dataclasses.replace(spec, d=(-2.0,))
+        assert not check_wellposedness(other).coercive and first.coercive
+        same = dataclasses.replace(spec)
+        assert check_wellposedness(same) is not first
+        assert check_wellposedness(same) == first
+
+    def test_overflow_is_raised_on_every_call(self):
+        huge = ProblemSpec(u=(-1.7e308, -1e308, 0.0, 1.7e308), a=(1.0,) * 3,
+                           k=(1.0,) * 3, d=(0.0, 0.0))
+        for _ in range(2):
+            with pytest.raises(EnergyOverflow):
+                check_wellposedness(huge)
+        assert not hasattr(huge, "_report")
+
 
 def test_strip_weights_stay_out_of_the_dataclass_surface():
     import dataclasses
 
     spec = ProblemSpec(u=[0.0, 1.0, 3.0], a=[1.0, 2.0], k=[1.0, 1.0], d=[0.5])
+    twin = ProblemSpec(u=[0.0, 1.0, 3.0], a=[1.0, 2.0], k=[1.0, 1.0], d=[0.5])
+    # the cached well-posedness report stays out of it as well
+    check_wellposedness(spec)
+    assert spec == twin and hash(spec) == hash(twin)
     assert [f.name for f in dataclasses.fields(spec)] == ["u", "a", "k", "d"]
     assert dataclasses.asdict(spec) == {
         "u": (0.0, 1.0, 3.0), "a": (1.0, 2.0), "k": (1.0, 1.0), "d": (0.5,)

@@ -1,4 +1,6 @@
 """Newton solver, divergence detection, and the brute-force oracles."""
+import dataclasses
+import importlib
 import math
 
 import numpy as np
@@ -6,6 +8,7 @@ import pytest
 
 import stefan.kernel
 from stefan import (
+    EnergyOverflow,
     InfeasiblePoint,
     NewtonBreakdown,
     ProblemSpec,
@@ -49,6 +52,15 @@ THREE = ProblemSpec(
 TWO = ProblemSpec(u=(-1.0, 0.0, 1.0, 2.0), a=(1.0, 1.0, 1.0), k=(1.0, 1.0, 1.0),
                   d=(0.0, 0.0))
 SINK = ProblemSpec(u=(-1.0, 0.0, 1.0), a=(1.0, 1.0), k=(1.0, 1.0), d=(-1.5,))
+# coercive but not convex (margins 11, -9, 11): from the default start the
+# first Newton step is damped, and the solve converges to a minimum near
+# (-0.4909, 0, 0.4909)
+WELL = ProblemSpec(
+    u=(-1.5, -0.5, 0.5, 1.5, 2.5),
+    a=(1.0, 1.0, 1.0, 1.0),
+    k=(1.0, 1.0, 1.0, 1.0),
+    d=(5.0, -5.0, 5.0),
+)
 SINK2 = ProblemSpec(
     u=(-1.0, -0.2, 0.3, 1.0),
     a=(1.0, 0.9, 1.1),
@@ -414,17 +426,24 @@ class TestMinimize:
         res = minimize(SINK2)
         assert res.status is SolveStatus.DIVERGED
         assert res.xi_star is None
-        # ends at the first iterate past xi_max (the third, here)
-        assert res.iterations < 10
+        # decided by the coercivity sums, before any step
+        assert res.iterations == 0
+        start = _default_start(SINK2)
+        assert res.energy_value == start.energy
+        assert res.grad_norm == start.grad_norm()
+        assert res.trace == ((0, start.energy, start.grad_norm()),)
 
     def test_saddle_is_not_certified(self):
         # the origin is stationary for SINK but the curvature there is
-        # 2/pi - 0.75 < 0: the solver must leave along it, not stop
+        # 2/pi - 0.75 < 0; SINK is not coercive, so a start there ends
+        # Diverged at once and is never reported as a solution
         assert tuple(gradient(SINK, (0.0,))) == (0.0,)
         res = minimize(SINK, start=(0.0,))
         assert res.status is SolveStatus.DIVERGED
         assert res.xi_star is None
-        assert res.trace[1].energy < res.trace[0].energy
+        assert res.iterations == 0
+        assert res.grad_norm == 0.0
+        assert res.trace == ((0, energy(SINK, (0.0,)), 0.0),)
 
     @pytest.mark.parametrize("seed", [0, 1, 3])
     def test_close_fronts_at_n_100_converge(self, seed):
@@ -439,33 +458,89 @@ class TestMinimize:
         spec = random_noncoercive_spec(np.random.default_rng(seed), n)
         res = minimize(spec)
         assert res.status is SolveStatus.DIVERGED
-        assert res.iterations < 10
+        assert res.iterations == 0
 
-    def test_coercivity_is_tested_once_and_only_on_escape(self, monkeypatch):
-        calls = []
-        real = stefan.optimize.check_wellposedness
+    def test_noncoercive_draws_diverge_with_a_ray_certificate(self):
+        # the energy is unbounded below along the escape ray of the first
+        # negative upper sum, so no draw has a minimizer to report
+        rng = np.random.default_rng(26)
+        for trial in range(300):
+            spec = random_noncoercive_spec(rng, 1 + trial % 8)
+            rep = check_wellposedness(spec)
+            assert not rep.coercive
+            res = minimize(spec)
+            assert res.status is SolveStatus.DIVERGED
+            assert res.iterations == 0 and res.xi_star is None
+            r = next(j for j, s in enumerate(rep.S_upper, start=1) if s < 0.0)
+            ray = [energy(spec, ray_point(spec, r, sigma)) for sigma in (10.0, 100.0, 1000.0)]
+            assert ray[0] > ray[1] > ray[2]
 
-        def counting(spec):
-            calls.append(spec)
-            return real(spec)
+    def test_lower_sum_alone_is_certified_by_the_mirrored_ray(self):
+        # only S_lower is negative: the last fronts escape to +inf, along
+        # the mirror image of ray_point's ray
+        spec = ProblemSpec(u=(-1.0, 0.0, 1.0, 2.0), a=(1.0, 1.0, 1.0),
+                           k=(1.0, 1.0, 1.0), d=(0.5, -1.5))
+        rep = check_wellposedness(spec)
+        assert rep.S_upper == (1.5, 1.0) and rep.S_lower == (1.0, -0.5)
+        res = minimize(spec)
+        assert res.status is SolveStatus.DIVERGED and res.iterations == 0
+        r = max(j for j, s in enumerate(rep.S_lower, start=1) if s < 0.0)
+        n = spec.n
 
-        monkeypatch.setattr(stefan.optimize, "check_wellposedness", counting)
-        for spec in (THREE, random_convex_spec(np.random.default_rng(3), 50)):
-            assert minimize(spec).status is SolveStatus.CONVERGED
-        assert calls == []
-        assert minimize(SINK2).status is SolveStatus.DIVERGED
-        assert calls == [SINK2]
-        # a coercive solve outside the box asks once, however many
-        # iterates it spends there
-        del calls[:]
+        def mirrored_ray(sigma):
+            # fronts r..n at sigma + (i - r), the others at (i - r)
+            return [sigma + i - r if i >= r else float(i - r) for i in range(1, n + 1)]
+
+        ray = [energy(spec, mirrored_ray(sigma)) for sigma in (10.0, 100.0, 1000.0)]
+        assert ray[0] > ray[1] > ray[2]
+
+    def test_coercivity_is_tested_once_per_spec_before_any_step(self, monkeypatch):
+        events = []
+        # stefan.energy is the function, so the module is looked up by name
+        energy_module = importlib.import_module("stefan.energy")
+        sums, damped = energy_module._running_fsums, stefan.optimize._damped_step
+
+        def summing(*args, **kwargs):
+            events.append("sums")
+            return sums(*args, **kwargs)
+
+        def stepping(*args):
+            events.append("step")
+            return damped(*args)
+
+        monkeypatch.setattr(energy_module, "_running_fsums", summing)
+        monkeypatch.setattr(stefan.optimize, "_damped_step", stepping)
+        spec = random_convex_spec(np.random.default_rng(3), 50)
+        res = minimize(spec)
+        assert res.status is SolveStatus.CONVERGED
+        # S_upper and S_lower, then the Newton steps
+        assert events == ["sums", "sums"] + ["step"] * res.iterations
+        del events[:]
+        assert minimize(spec) == res
+        assert events == ["step"] * res.iterations
+        del events[:]
+        assert minimize(dataclasses.replace(SINK2)).status is SolveStatus.DIVERGED
+        assert events == ["sums", "sums"]
+        # coercive data never diverge, however far the iterates go
         res = minimize(THREE, SolveOptions(xi_max=1.0), start=ray_point(THREE, 3, 1e4))
         assert res.iterations >= 10
-        assert calls == [THREE]
+        assert res.status is SolveStatus.CONVERGED
+
+    def test_overflowing_sums_raise_before_any_step(self):
+        # the strip energies are finite but S_upper[1] = 2 + 2e308 is not;
+        # the solve used to take 165 steps and end MaxIterations
+        spec = ProblemSpec(u=(-1.0, 0.0, 1.0, 2.0), a=(1.0, 1.0, 1.0),
+                           k=(1.0, 1.0, 1.0), d=(1e308, 1e308))
+        assert math.isfinite(_default_start(spec).energy)
+        for _ in range(2):
+            with pytest.raises(EnergyOverflow):
+                minimize(spec)
 
     @pytest.mark.parametrize("r", [2, 3])
     def test_coercive_escape_is_not_diverged(self, r):
-        # every early iterate lies outside the small box, but coercive
-        # data have a minimizer, so the solve must go on and find it
+        # every early iterate lies far outside [-xi_max, xi_max], which
+        # no longer matters: coercive data have a minimizer, so the solve
+        # must go on and find it
         assert check_wellposedness(THREE).coercive
         start = ray_point(THREE, r, 1e4)
         res = minimize(THREE, SolveOptions(xi_max=1.0), start=start)
@@ -504,14 +579,20 @@ class TestMinimize:
         assert res.iterations == 1
 
     def test_noncoercive_data_can_have_a_local_minimum(self):
-        # coercivity guarantees a minimizer; without it the solver may
-        # still certify a genuine interior local minimum of the energy
+        # this energy has a genuine interior local minimum near 0.439,
+        # but it is unbounded below, so it has no minimizer: the solve
+        # reads Diverged, also when started at that local minimum
         spec = random_noncoercive_spec(np.random.default_rng(13), 1)
         assert not check_wellposedness(spec).coercive
-        res = minimize(spec)
-        assert res.status is SolveStatus.CONVERGED
-        assert max(abs(r) for r in stefan_residuals(spec, res.xi_star)) <= 1e-12
-        assert hessian(spec, res.xi_star)[0, 0] > 0.0
+        x = single_front_bisection(spec, (0.3, 0.6))
+        assert x == pytest.approx(0.438989165966, abs=1e-11)
+        assert max(abs(r) for r in stefan_residuals(spec, (x,))) <= 1e-12
+        assert hessian(spec, (x,))[0, 0] > 0.0
+        for start in (None, (x,)):
+            res = minimize(spec, start=start)
+            assert res.status is SolveStatus.DIVERGED
+            assert res.iterations == 0 and res.xi_star is None
+        assert res.energy_value == energy(spec, (x,))
 
     def test_one_strip_pass_per_iteration(self, monkeypatch):
         calls = []
@@ -549,12 +630,17 @@ class TestMinimize:
         assert len(calls) == 1
 
     def test_curvature_step_is_turned_downhill(self, monkeypatch):
-        # SINK is configs/supercooled_noncoercive.json.  Just left of its
-        # saddle at 0 the gradient is +1.1e-15, below grad_tol, so the
-        # first direction is the curvature vector [1.0], which climbs;
-        # it is flipped, and the full step lands at -1 - 1e-14.
-        g = gradient(SINK, (-1e-14,))[0]
-        assert 0.0 < g <= SolveOptions().grad_tol
+        # No coercive spec with a saddle is known (searches of random and
+        # mirror-symmetric draws found none), so the curvature branch is
+        # reached with a loose grad_tol.  At x the Hessian of WELL is
+        # indefinite and max|g| = 2.78 <= 3, so the first direction is the
+        # curvature vector v, with g.v = 0.069 > 0: it climbs, is flipped,
+        # and the full step lands at x - v.
+        x = [-1.0, 0.3, 1.0]
+        point = _Point(WELL, x)
+        v = _negative_curvature(*point.bands())
+        assert v is not None and v[1] == 1.0
+        assert 0.0 < dot(point.gradient(), v) and point.grad_norm() <= 3.0
         directions, trials = [], []
         curvature = stefan.optimize._negative_curvature
 
@@ -569,15 +655,17 @@ class TestMinimize:
 
         monkeypatch.setattr(stefan.optimize, "_negative_curvature", recording_curvature)
         monkeypatch.setattr(stefan.optimize, "_Point", recording_point)
-        res = minimize(SINK, start=(-1e-14,))
-        assert directions == [[1.0]]
-        assert trials[1] == [-1e-14 - 1.0]
-        assert res.status is SolveStatus.DIVERGED
-        assert res.iterations == 4
+        res = minimize(WELL, SolveOptions(grad_tol=3.0), start=x)
+        assert directions[0] == v
+        assert trials[1] == [xi - vi for xi, vi in zip(x, v)]
+        assert res.trace[1].energy < res.trace[0].energy
+        # the point after the step is convex there, and within grad_tol
+        assert res.status is SolveStatus.CONVERGED
+        assert res.iterations == 1
 
     def test_roundoff_stall_ends_max_iterations(self):
         # At n = 200 no trial is accepted once max|g| is near 2e-12: the
-        # line search stalls long before max_iter.  ROADMAP item 1 will
+        # line search stalls long before max_iter.  ROADMAP item 2 will
         # give this exit its own status on purpose; until then it is
         # reported as MaxIterations, without fronts.
         res = minimize(random_convex_spec(np.random.default_rng(0), 200))
@@ -649,7 +737,7 @@ class TestFirstStepCap:
 
     @pytest.mark.parametrize("spec, damped_first", [
         (random_convex_spec(np.random.default_rng(20), 50), False),
-        (random_noncoercive_spec(np.random.default_rng(0), 3), True),
+        (WELL, True),
     ])
     def test_only_the_undamped_first_step_is_capped(self, monkeypatch, spec,
                                                      damped_first):

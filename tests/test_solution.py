@@ -298,6 +298,14 @@ class TestSpacetime:
         with pytest.raises(ValueError, match="t must be positive and finite"):
             evaluate_spacetime(sol, t, x)
 
+    def test_nan_x_is_rejected_by_name(self):
+        # not as "xi", which the caller never passed
+        sol = assemble(SYM, (0.0,))
+        with pytest.raises(ValueError, match="^x must not be NaN$"):
+            evaluate_spacetime(sol, 1.0, math.nan)
+        # infinite x is a limit, as an infinite xi is
+        assert evaluate_spacetime(sol, 1.0, math.inf) == SYM.u[-1]
+
     def test_scaling_invariance(self, solved_three):
         rng = np.random.default_rng(13)
         for _ in range(100):
