@@ -29,9 +29,17 @@ log_pdf(midpoint) plus the log1p of a short series in the width.  Plus
 and minus infinity are legal inputs everywhere and map to the exact
 limit values.  All functions are pure and reentrant.
 
-``solution.evaluate_profile``, the profile lookup, writes cdf inline
-(the same expression, operation for operation), so a change to cdf
-must be made there too; a test holds the two equal bit for bit.
+cdf, pdf and log_pdf are also written inline, the same expression
+operation for operation, where a Python call per value would dominate;
+a change to one of them must be made in each place, and tests hold
+each equal to the call bit for bit:
+
+- cdf in ``solution.evaluate_profile`` (the profile lookup),
+  ``solution.assemble`` (each piece's cdf_lo and cdf_hi) and
+  ``solution.validate`` (the interface-jump loop);
+- cdf and pdf in ``solution._flux_balances``, the literal flux
+  balances, which takes cdf(s) and cdf(-s) from one erfc(|s|/2);
+- log_pdf in ``energy._Point._derive``, the derivative pass.
 """
 
 from __future__ import annotations

@@ -530,9 +530,12 @@ def minimize(
 
     xi_star = None
     if status is SolveStatus.CONVERGED:
-        xi_star = FreeBoundaries(tuple(point.fronts))
-        # not a field, so eq, repr, hash and asdict ignore it
-        object.__setattr__(xi_star, "_point", point)
+        # the strip pass of point proved these fronts finite and strictly
+        # increasing, so they are not checked again (a pickle or copy is,
+        # through __reduce__); _point is not a field, so eq, repr, hash
+        # and asdict ignore it
+        xi_star = object.__new__(FreeBoundaries)
+        xi_star.__dict__.update(xi=tuple(point.fronts), _point=point)
     return SolveResult(
         status, xi_star, point.energy, point.grad_norm(), iterations, tuple(trace)
     )

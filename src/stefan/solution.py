@@ -113,20 +113,24 @@ def assemble(spec: ProblemSpec, xi_star: Fronts) -> SelfSimilarSolution:
     point = getattr(xi_star, "_point", None)
     if point is None or point.spec is not spec:
         point = _Point(spec, _fronts(spec, xi_star))
-    fronts = tuple(point.fronts)
-    lo, hi, lg = point.lo, point.hi, point.lg
-    pieces = tuple(
+    u = spec.u
+    exp = math.exp
+    # cdf of each scaled end is kernel.cdf's expression, inlined; the ends
+    # are never NaN, and erfc's limits at +-inf give cdf's
+    pieces = tuple([
         Piece(
-            a=spec.a[i],
-            u_lo=spec.u[i],
-            u_hi=spec.u[i + 1],
-            cdf_lo=kernel.cdf(lo[i]),
-            cdf_hi=kernel.cdf(hi[i]),
-            scale=(spec.u[i + 1] - spec.u[i]) * math.exp(-lg[i]),
+            a,
+            u_lo,
+            u_hi,
+            0.5 * erfc(-0.5 * lo) if lo <= 0.0 else 1.0 - 0.5 * erfc(0.5 * lo),
+            0.5 * erfc(-0.5 * hi) if hi <= 0.0 else 1.0 - 0.5 * erfc(0.5 * hi),
+            (u_hi - u_lo) * exp(-lg),
         )
-        for i in range(spec.n + 1)
-    )
-    return SelfSimilarSolution(spec=spec, xi_star=fronts, pieces=pieces)
+        for a, u_lo, u_hi, lo, hi, lg in zip(
+            spec.a, u, u[1:], point.lo, point.hi, point.lg
+        )
+    ])
+    return SelfSimilarSolution(spec=spec, xi_star=tuple(point.fronts), pieces=pieces)
 
 
 def _piece_index(sol: SelfSimilarSolution, xi: float) -> int:
@@ -197,34 +201,47 @@ def evaluate_spacetime(sol: SelfSimilarSolution, t: float, x: float) -> float:
     return evaluate_profile(sol, x / math.sqrt(t))
 
 
-def _cdf_gap(lo: float, hi: float) -> float:
-    """cdf(hi) - cdf(lo), differencing upper tails when lo >= 0.
-
-    By symmetry cdf(hi) - cdf(lo) = cdf(-lo) - cdf(-hi), whose terms keep
-    their precision where cdf(lo) and cdf(hi) both round to 1.
-    """
-    if lo >= 0.0:
-        return kernel.cdf(-lo) - kernel.cdf(-hi)
-    return kernel.cdf(hi) - kernel.cdf(lo)
-
-
 def _flux_balances(spec: ProblemSpec, fronts: Tuple[float, ...]) -> list:
-    """The literal flux balances behind ``stefan_residuals``, as a list."""
-    ext = (-math.inf,) + fronts + (math.inf,)
-    # strip i lies between ext[i] and ext[i + 1] and feeds both its fronts
-    gaps = [
-        _cdf_gap(ext[i] / a, ext[i + 1] / a) for i, a in enumerate(spec.a)
-    ]
+    """The literal flux balances behind ``stefan_residuals``, as a list.
+
+    One loop over the strips.  Strip i spans lo = x_lo/a to hi = x_hi/a
+    and feeds k du pdf(end) / (a gap) into the balance at each of its
+    fronts, with gap = cdf(hi) - cdf(lo), differenced as the upper tails
+    cdf(-lo) - cdf(-hi) when lo >= 0, whose terms keep their precision
+    where cdf(lo) and cdf(hi) both round to 1.  The kernel is written
+    inline, operation for operation: an end s gives h = erfc(|s|/2)/2,
+    which is cdf(s) for s <= 0 and cdf(-s) for s >= 0, the other side
+    being 1 - h (both h at s = +-0, where 1 - h = h = 1/2), and pdf(s) is
+    ``kernel.pdf``'s expression, 0 at +-inf.  A NaN front raises cdf's
+    error before any strip is taken, as the kernel calls did.
+    """
+    if any(x != x for x in fronts):
+        raise ValueError("cdf: argument must not be NaN")
+    u, k, d = spec.u, spec.k, spec.d
+    exp = math.exp
+    peak = kernel.PDF_PEAK
+    n = len(fronts)
     out = []
-    for j in range(1, spec.n + 1):
-        a_r, a_l = spec.a[j], spec.a[j - 1]
-        du_r = spec.u[j + 1] - spec.u[j]
-        du_l = spec.u[j] - spec.u[j - 1]
-        out.append(
-            0.5 * spec.d[j - 1] * ext[j]
-            + spec.k[j] * du_r * kernel.pdf(ext[j] / a_r) / (a_r * gaps[j])
-            - spec.k[j - 1] * du_l * kernel.pdf(ext[j] / a_l) / (a_l * gaps[j - 1])
-        )
+    x_lo = -math.inf
+    for i, a in enumerate(spec.a):
+        x_hi = fronts[i] if i < n else math.inf
+        lo = x_lo / a
+        hi = x_hi / a
+        h_lo = 0.5 * erfc(0.5 * abs(lo))
+        h_hi = 0.5 * erfc(0.5 * abs(hi))
+        if lo >= 0.0:
+            gap = h_lo - (h_hi if hi >= 0.0 else 1.0 - h_hi)
+        else:
+            gap = (h_hi if hi <= 0.0 else 1.0 - h_hi) - h_lo
+        w = k[i] * (u[i + 1] - u[i])
+        wa = a * gap
+        if i:
+            # front i-1 is this strip's lower end: finish its balance
+            inflow = w * (peak * exp(-0.25 * lo * lo)) / wa
+            out.append(0.5 * d[i - 1] * x_lo + inflow - outflow)
+        if i < n:
+            outflow = w * (peak * exp(-0.25 * hi * hi)) / wa
+        x_lo = x_hi
     return out
 
 
@@ -250,12 +267,14 @@ class ResidualReport:
         anchor or a wrong temperature; on ``assemble``'s output it is a
         few eps of the ODE's terms.
     max_stefan_residual: the largest literal flux balance at a front.
-        It is the only figure that checks the fronts themselves.
+        It is the only figure that checks the fronts themselves.  A NaN
+        balance makes it NaN.
     max_interface_jump: the largest gap between a piece's value at a
         front and that phase temperature.  ``assemble`` builds each
         piece's cdf_lo and cdf_hi by the very expression this figure
         takes, so it is 0 by construction on ``assemble``'s output and
-        can be nonzero only for a hand-built solution.
+        can be nonzero only for a hand-built solution.  A NaN gap, as
+        from a NaN scale or anchor, makes it NaN wherever it sits.
     samples: the number of ODE samples, samples_per_phase * (n + 1).
 
     No figure checks that a piece's two anchors agree, that is, that
@@ -408,17 +427,34 @@ def validate(sol: SelfSimilarSolution, samples_per_phase: int) -> ResidualReport
                 if r > max_ode:
                     max_ode = r
 
+    # cdf(front/a) of each piece next to a front, inlined as in
+    # evaluate_profile; a jump that is NaN wins, as in numpy.max
+    pieces, u = sol.pieces, spec.u
     max_jump = 0.0
-    for j in range(1, n + 1):
-        left, right = sol.pieces[j - 1], sol.pieces[j]
-        target = spec.u[j]
-        from_left = left.u_hi + left.scale * (
-            kernel.cdf(fronts[j - 1] / left.a) - left.cdf_hi
-        )
-        from_right = right.u_lo + right.scale * (
-            kernel.cdf(fronts[j - 1] / right.a) - right.cdf_lo
-        )
-        max_jump = max(max_jump, abs(from_left - target), abs(from_right - target))
+    for j in range(n):
+        left, right = pieces[j], pieces[j + 1]
+        x = fronts[j]
+        target = u[j + 1]
+        z = 0.5 * (x / left.a)
+        if z <= 0.0:
+            c = 0.5 * erfc(-z)
+        elif z > 0.0:
+            c = 1.0 - 0.5 * erfc(z)
+        else:
+            raise ValueError("cdf: argument must not be NaN")
+        jump = abs(left.u_hi + left.scale * (c - left.cdf_hi) - target)
+        if jump > max_jump or jump != jump:
+            max_jump = jump
+        z = 0.5 * (x / right.a)
+        if z <= 0.0:
+            c = 0.5 * erfc(-z)
+        elif z > 0.0:
+            c = 1.0 - 0.5 * erfc(z)
+        else:
+            raise ValueError("cdf: argument must not be NaN")
+        jump = abs(right.u_lo + right.scale * (c - right.cdf_lo) - target)
+        if jump > max_jump or jump != jump:
+            max_jump = jump
 
     flux = [abs(r) for r in _flux_balances(spec, fronts)]
     # NaN wins, as in numpy.max; Python's max would depend on its position

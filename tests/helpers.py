@@ -6,8 +6,10 @@ Everything here deliberately avoids the library's own evaluation paths
 where it serves as an oracle: quad_cdf integrates the defining integral
 directly, the finite-difference routines only consume energies or
 gradients as black boxes, MultiPassPoint spells out the energy and
-its derivatives one formula per pass, and ldl_newton factors first and
-solves afterwards.
+its derivatives one formula per pass, ldl_newton factors first and
+solves afterwards, and the post-solve oracles (assembled_pieces,
+flux_balances, interface_jump) take cdf and pdf from ``kernel`` one call
+per value where the library writes them inline.
 """
 import math
 
@@ -253,3 +255,55 @@ class MultiPassPoint:
         ]
         off = [-gamma[r + 1] for r in range(n - 1)]
         self.bands = (diag, off)
+
+
+def assembled_pieces(spec: ProblemSpec, fronts):
+    """The fields of assemble's pieces, cdf through ``kernel.cdf``, as tuples."""
+    lo, hi, lg = strips(spec.a, fronts)
+    u = spec.u
+    return [
+        (spec.a[i], u[i], u[i + 1], kernel.cdf(lo[i]), kernel.cdf(hi[i]),
+         (u[i + 1] - u[i]) * math.exp(-lg[i]))
+        for i in range(spec.n + 1)
+    ]
+
+
+def cdf_gap(lo: float, hi: float) -> float:
+    """cdf(hi) - cdf(lo), differencing upper tails when lo >= 0.
+
+    By symmetry cdf(hi) - cdf(lo) = cdf(-lo) - cdf(-hi), whose terms keep
+    their precision where cdf(lo) and cdf(hi) both round to 1.
+    """
+    if lo >= 0.0:
+        return kernel.cdf(-lo) - kernel.cdf(-hi)
+    return kernel.cdf(hi) - kernel.cdf(lo)
+
+
+def flux_balances(spec: ProblemSpec, fronts):
+    """The literal flux balances, one kernel call per cdf and pdf value,
+    in the operation order of ``solution._flux_balances``."""
+    ext = (-math.inf,) + tuple(fronts) + (math.inf,)
+    a, k, u, d = spec.a, spec.k, spec.u, spec.d
+    gaps = [cdf_gap(ext[i] / a[i], ext[i + 1] / a[i]) for i in range(spec.n + 1)]
+    return [
+        0.5 * d[j - 1] * ext[j]
+        + k[j] * (u[j + 1] - u[j]) * kernel.pdf(ext[j] / a[j]) / (a[j] * gaps[j])
+        - k[j - 1] * (u[j] - u[j - 1]) * kernel.pdf(ext[j] / a[j - 1])
+        / (a[j - 1] * gaps[j - 1])
+        for j in range(1, spec.n + 1)
+    ]
+
+
+def interface_jump(sol) -> float:
+    """validate's max_interface_jump, cdf through ``kernel.cdf``; NaN wins."""
+    jumps = []
+    for j, x in enumerate(sol.xi_star):
+        left, right = sol.pieces[j], sol.pieces[j + 1]
+        target = sol.spec.u[j + 1]
+        jumps.append(abs(left.u_hi + left.scale * (kernel.cdf(x / left.a) - left.cdf_hi)
+                         - target))
+        jumps.append(abs(right.u_lo + right.scale * (kernel.cdf(x / right.a)
+                                                     - right.cdf_lo) - target))
+    if any(map(math.isnan, jumps)):
+        return math.nan
+    return max(jumps, default=0.0)

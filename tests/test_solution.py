@@ -23,7 +23,13 @@ from stefan import (
 )
 from stefan import FreeBoundaries, kernel, solution
 
-from helpers import quad_cdf, random_convex_spec
+from helpers import (
+    assembled_pieces,
+    flux_balances,
+    interface_jump,
+    quad_cdf,
+    random_convex_spec,
+)
 
 SYM = ProblemSpec(u=(-1.0, 0.0, 1.0), a=(1.0, 1.0), k=(1.0, 1.0), d=(0.0,))
 BOX2 = ProblemSpec(
@@ -120,6 +126,38 @@ class TestPointHandover:
         assert repr(res) == repr(other)
         assert hash(res) == hash(other)
         assert dataclasses.asdict(res) == dataclasses.asdict(other)
+
+    @pytest.mark.parametrize("n", [1, 6, 50])
+    def test_certified_fronts_equal_a_validated_build(self, n):
+        # minimize builds its FreeBoundaries without checking the fronts
+        # again; it must equal and hash like a validated one, and a pickle
+        # of it is validated when rebuilt
+        spec = random_convex_spec(np.random.default_rng(700 + n), n)
+        res = minimize(spec)
+        assert res.status is SolveStatus.CONVERGED
+        plain = FreeBoundaries(tuple(res.xi_star.xi))
+        assert type(res.xi_star) is FreeBoundaries
+        assert type(res.xi_star.xi) is tuple
+        assert all(type(v) is float for v in res.xi_star.xi)
+        assert res.xi_star == plain
+        assert hash(res.xi_star) == hash(plain)
+        back = pickle.loads(pickle.dumps(res.xi_star))
+        assert back == plain and hash(back) == hash(plain)
+        assert not hasattr(back, "_point")
+
+    def test_certified_fronts_are_checked_when_rebuilt(self):
+        # __reduce__ rebuilds through FreeBoundaries, so a pickle or copy
+        # of fronts that skipped the checks is checked then
+        import copy
+
+        from stefan import InfeasiblePoint
+
+        bad = object.__new__(FreeBoundaries)
+        bad.__dict__.update(xi=(1.0, 0.5))
+        for rebuild in (lambda fb: pickle.loads(pickle.dumps(fb)), copy.copy,
+                        copy.deepcopy):
+            with pytest.raises(InfeasiblePoint, match="strictly increasing"):
+                rebuild(bad)
 
     def test_solve_result_survives_pickle(self):
         res = minimize(THREE)
@@ -431,6 +469,34 @@ class TestResiduals:
         for expected in (want, float(np.max(np.abs(balances)))):
             assert got == expected or (math.isnan(got) and math.isnan(expected))
 
+    @pytest.mark.parametrize(
+        "index, field", [(0, "scale"), (1, "cdf_lo"), (0, "cdf_hi"), (1, "u_lo")]
+    )
+    def test_a_nan_interface_jump_wins(self, index, field):
+        # Python's max keeps its first argument when a later one is NaN;
+        # validate must report a NaN jump as NaN, as numpy.max does
+        spec = ProblemSpec(u=(-1.0, 0.0, 1.0), a=(1.0, 1.0), k=(1.0, 1.0), d=(0.3,))
+        root = minimize(spec).xi_star
+        sol = assemble(spec, root)
+        assert validate(sol, 9).max_interface_jump == 0.0
+        pieces = list(sol.pieces)
+        pieces[index] = dataclasses.replace(pieces[index], **{field: math.nan})
+        broken = solution.SelfSimilarSolution(spec, sol.xi_star, tuple(pieces))
+        assert math.isnan(validate(broken, 9).max_interface_jump)
+        assert math.isnan(interface_jump(broken))
+        if field == "scale":
+            assert math.isnan(evaluate_profile(broken, -0.5))
+
+    def test_a_nan_jump_stays_after_a_larger_one(self):
+        # NaN at the first front, a finite jump at the second
+        spec = BOX2
+        sol = assemble(spec, (-0.5, 0.5))
+        pieces = list(sol.pieces)
+        pieces[0] = dataclasses.replace(pieces[0], scale=math.nan)
+        pieces[2] = dataclasses.replace(pieces[2], u_lo=5.0)
+        broken = solution.SelfSimilarSolution(spec, sol.xi_star, tuple(pieces))
+        assert math.isnan(validate(broken, 9).max_interface_jump)
+
     def test_ode_residual_is_the_factored_closed_form(self):
         # validate shares one set of cosines, skips the pieces whose bound
         # cannot raise the maximum and skips exp where the gap cannot; a
@@ -577,3 +643,143 @@ class TestResiduals:
         report = validate(solved_three, 33.0)
         assert report == validate(solved_three, 33)
         assert type(report.samples) is int
+
+
+# Inputs for the inline-kernel tests: (a, fronts) pairs whose scaled ends
+# hit +-0.0, one ulp either side of 0, +-inf (a = 1e-310 overflows x/a),
+# strips lying wholly at or above 0 (from +-0.0 to ends where cdf(0) -
+# cdf(-hi) and cdf(hi) - cdf(0) round apart), wholly below, and the far
+# tails.
+_TINY = math.nextafter(0.0, 1.0)
+_INLINE_CASES = [
+    ((1.0, 1.0), (0.0,)),
+    ((1.0, 1.0), (-0.0,)),
+    ((1.0, 1.0), (_TINY,)),
+    ((1.0, 1.0), (-_TINY,)),
+    ((1e10, 0.5), (_TINY,)),
+    ((0.5, 1e10), (-_TINY,)),
+    ((1.0, 1.0), (0.3,)),
+    ((1.0, 1.0), (40.0,)),
+    ((1.0, 1.0), (-40.0,)),
+    ((1e-310, 1.0), (1.0,)),
+    ((1.0, 1e-310), (-1.0,)),
+    ((1e-310, 1.0), (0.0,)),
+    ((1.0, 1e-310), (-0.0,)),
+    ((0.8, 1.5, 0.2, 3.0), (0.0, 3.0, 14.0)),
+    ((1.0, 1.0, 1.0), (0.0, 0.1398496240601504)),
+    ((1.0, 1.0, 1.0), (-0.0, 0.37944862155388465)),
+    ((0.8, 1.5, 0.2, 3.0), (_TINY, 0.5, 3.0)),
+    ((0.8, 1.5, 0.2, 3.0), (-14.0, -3.0, -_TINY)),
+    ((0.8, 1.5, 0.2, 3.0), (-2.0, -0.0, 7.0)),
+    ((2.0, 1e-310, 0.7, 1.0), (-1.0, 0.5, 0.75)),
+    ((0.6, 1.2, 0.9, 2.0, 1.1), (-30.0, -20.0, 18.0, 40.0)),
+]
+
+
+def _inline_spec(a):
+    n = len(a) - 1
+    u = tuple(-1.0 + 0.75 * i + 0.1 * (i % 2) for i in range(n + 2))
+    k = tuple(0.4 + 0.3 * i for i in range(n + 1))
+    d = tuple(0.2 - 0.15 * i for i in range(n))
+    return ProblemSpec(u=u, a=a, k=k, d=d)
+
+
+def _hexes(values):
+    return [v.hex() for v in values]
+
+
+def _outcome(fn):
+    """fn()'s floats in hex, or the type and message of what it raised."""
+    try:
+        return _hexes(fn())
+    except (ArithmeticError, ValueError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+class TestInlineKernel:
+    """assemble, _flux_balances and validate's jump loop write cdf and pdf
+    inline; each must give the bits of the kernel calls it replaces."""
+
+    @pytest.mark.parametrize("a, fronts", _INLINE_CASES)
+    def test_assemble_pieces_are_the_kernel_calls(self, a, fronts):
+        spec = _inline_spec(a)
+        sol = assemble(spec, fronts)
+        got = [_hexes(dataclasses.astuple(p)) for p in sol.pieces]
+        assert got == [_hexes(p) for p in assembled_pieces(spec, fronts)]
+
+    def test_assemble_of_converged_solves_is_the_kernel_calls(self):
+        for seed, n in enumerate((1, 3, 8, 50)):
+            spec = random_convex_spec(np.random.default_rng(800 + seed), n)
+            res = minimize(spec)
+            assert res.status is SolveStatus.CONVERGED
+            got = [_hexes(dataclasses.astuple(p))
+                   for p in assemble(spec, res.xi_star).pieces]
+            assert got == [_hexes(p) for p in assembled_pieces(spec, res.xi_star.xi)]
+
+    @pytest.mark.parametrize("a, fronts", _INLINE_CASES)
+    def test_flux_balances_are_the_kernel_calls(self, a, fronts):
+        # the fronts, each moved one ulp either way, and in reverse order,
+        # which only a hand-built solution reaches; a gap of exactly 0
+        # must divide by zero as the kernel calls do
+        spec = _inline_spec(a)
+        cases = [fronts, fronts[::-1]]
+        for j, x in enumerate(fronts):
+            for toward in (-math.inf, math.inf):
+                moved = list(fronts)
+                moved[j] = math.nextafter(x, toward)
+                cases.append(tuple(moved))
+        for xs in cases:
+            want = _outcome(lambda: flux_balances(spec, xs))
+            assert _outcome(lambda: solution._flux_balances(spec, xs)) == want, xs
+        assert isinstance(_outcome(lambda: solution._flux_balances(spec, fronts)), list)
+
+    def test_flux_balances_of_zero_gaps_divide_by_zero(self):
+        # fronts past the kernel's range leave a gap of exactly 0
+        spec = _inline_spec((1.0, 1.0))
+        for fronts in ((80.0,), (-80.0,)):
+            with pytest.raises(ZeroDivisionError):
+                flux_balances(spec, fronts)
+            with pytest.raises(ZeroDivisionError):
+                solution._flux_balances(spec, fronts)
+
+    @pytest.mark.parametrize("a, fronts", _INLINE_CASES)
+    def test_validate_jump_and_flux_are_the_kernel_calls(self, a, fronts):
+        # pieces whose a differs from spec.a, negative, subnormal and
+        # infinite ones included, and whose anchors are off, so the jumps
+        # are nonzero
+        spec = _inline_spec(a)
+        sol = assemble(spec, fronts)
+        want_flux = max(abs(r) for r in flux_balances(spec, fronts))
+        for f, shift in ((1.0, 0.0), (1.7, 1e-3), (-0.6, 0.25), (1e-3, -0.5),
+                         (math.inf, 0.0)):
+            pieces = tuple(
+                dataclasses.replace(p, a=p.a * f, cdf_lo=p.cdf_lo + shift,
+                                    cdf_hi=p.cdf_hi - shift)
+                for p in sol.pieces
+            )
+            hand = solution.SelfSimilarSolution(spec, sol.xi_star, pieces)
+            report = validate(hand, 3)
+            assert report.max_interface_jump.hex() == interface_jump(hand).hex(), f
+            assert report.max_stefan_residual.hex() == want_flux.hex()
+
+    @pytest.mark.parametrize("where", [0, 1, 2])
+    def test_a_nan_front_is_rejected_by_cdf(self, where):
+        spec = _inline_spec((0.8, 1.5, 0.2, 3.0))
+        fronts = [-1.0, 0.5, 2.0]
+        sol = assemble(spec, tuple(fronts))
+        fronts[where] = math.nan
+        hand = solution.SelfSimilarSolution(spec, tuple(fronts), sol.pieces)
+        for fn in (lambda: validate(hand, 3),
+                   lambda: solution._flux_balances(spec, tuple(fronts)),
+                   lambda: flux_balances(spec, fronts)):
+            with pytest.raises(ValueError, match="cdf: argument must not be NaN"):
+                fn()
+
+    def test_a_nan_piece_diffusivity_is_rejected_by_cdf(self):
+        sol = assemble(SYM, (0.2,))
+        for index in (0, 1):
+            pieces = list(sol.pieces)
+            pieces[index] = dataclasses.replace(pieces[index], a=math.nan)
+            hand = solution.SelfSimilarSolution(SYM, sol.xi_star, tuple(pieces))
+            with pytest.raises(ValueError, match="cdf: argument must not be NaN"):
+                validate(hand, 3)
