@@ -222,18 +222,30 @@ def _damped_step(g, diag, off, damping_min):
     newton_step.
 
     Returns (p, lam, slope), where slope is the g.p that accepted the
-    step, so the caller need not form it again.  Rounding can push the
-    pivots of T + lam*I below zero even past the Gershgorin bound; the
-    bisection never tries that bound's own exponent, so the schedule then
-    keeps doubling from it until lam overflows.
+    step, so the caller need not form it again.  The bands are finite
+    when sum(diag) + sum(off) is, since an infinite or NaN entry makes
+    every partial sum after it infinite or NaN; only when that sum is
+    not finite (which finite bands give when it overflows) are the
+    entries tested one by one.  lam = 0 is tried first, with one
+    factorization; the rest of the schedule is set up only when that
+    trial fails.  Rounding can push the pivots of T + lam*I below zero
+    even past the Gershgorin bound; the bisection never tries that
+    bound's own exponent, so the schedule then keeps doubling from it
+    until lam overflows.
     """
-    n = len(diag)
-    if not (all(map(math.isfinite, diag)) and all(map(math.isfinite, off))):
+    if not math.isfinite(sum(diag) + sum(off)) and not (
+        all(map(math.isfinite, diag)) and all(map(math.isfinite, off))
+    ):
         raise NewtonBreakdown("Hessian is not finite")
-    bound = math.inf  # lam = 0 is never past the Gershgorin bound
+    p = _factor_solve(diag, off, 0.0, g)[2]
+    if p is not None:
+        slope = math.fsum(map(operator.mul, g, p))
+        if slope < 0.0 or not any(g):  # lam = 0 is never past the bound
+            return p, 0.0, slope
+    n = len(diag)
 
     def usable(k):
-        lam = math.ldexp(damping_min, k) if k >= 0 else 0.0
+        lam = math.ldexp(damping_min, k)
         p = _factor_solve(diag, off, lam, g)[2]
         if p is not None:
             slope = math.fsum(map(operator.mul, g, p))
@@ -241,9 +253,6 @@ def _damped_step(g, diag, off, damping_min):
                 return p, lam, slope
         return None
 
-    step = usable(-1)
-    if step is not None:
-        return step
     shift = max(
         (abs(off[i - 1]) if i > 0 else 0.0)
         + (abs(off[i]) if i < n - 1 else 0.0)
@@ -316,18 +325,6 @@ def newton_step(
     return np.array(p), lam
 
 
-def _room(x: Sequence[float], p: Sequence[float]) -> float:
-    """Step length along p at which the first pair of fronts collides."""
-    room = math.inf
-    for i in range(len(x) - 1):
-        closing = p[i] - p[i + 1]
-        if closing > 0.0:
-            t = (x[i + 1] - x[i]) / closing
-            if t < room:  # as min(room, t), NaN included
-                room = t
-    return room
-
-
 def _default_start(spec: ProblemSpec) -> _Point:
     """The point at the fronts of the zero-latent-heat minimizer, with the
     mean diffusivity.
@@ -382,11 +379,17 @@ def _line_search(spec, point, p, slope, ceiling, flat_ok, fraction, first):
     whose strips collapse once scaled is infeasible and is backtracked.
     """
     x, f = point.fronts, point.energy
-    room = _room(x, p)
+    # the step length along p at which the first pair of fronts collides
+    room = math.inf
+    for i in range(len(x) - 1):
+        closing = p[i] - p[i + 1]
+        if closing > 0.0:
+            t = (x[i + 1] - x[i]) / closing
+            if t < room:  # as min(room, t), NaN included
+                room = t
     alpha = min(1.0, fraction * room)
     if first and room < 2.0:  # the cap is >= 1 from 2 on; and no inf / inf
         alpha = min(alpha, max(0.5 * room, room / (1.0 + room)))
-    flat_tol = 8.0 * _EPS * max(1.0, abs(f))
     while alpha > 1e-20:
         xt = [xi + alpha * pi for xi, pi in zip(x, p)]
         if xt != x:
@@ -398,7 +401,7 @@ def _line_search(spec, point, p, slope, ceiling, flat_ok, fraction, first):
                 ft = trial.energy
                 if ft <= f + _ARMIJO_C * alpha * slope and ft < ceiling:
                     return trial, False
-                if abs(ft - f) <= flat_tol:
+                if abs(ft - f) <= 8.0 * _EPS * max(1.0, abs(f)):
                     # Energy is flat at machine resolution; let the
                     # gradient decide whether this step makes progress.
                     if flat_ok and trial.grad_norm() < point.grad_norm():
@@ -482,28 +485,32 @@ def minimize(
         point = _default_start(spec)
     else:
         point = _Point(spec, list(_fronts(spec, start)))
-    trace = [IterationRecord(0, point.energy, point.grad_norm())]
+    # the gradient max-norm of the current point, read once per point
+    gnorm = point.grad_norm()
+    # the energy of trace[-1]
+    recorded = point.energy
+    trace = [IterationRecord(0, recorded, gnorm)]
     if not check_wellposedness(spec).coercive:
         # unbounded below along an escape ray: there is no minimizer to find
-        return SolveResult(
-            SolveStatus.DIVERGED, None, point.energy, trace[0].grad_norm, 0, tuple(trace)
-        )
+        return SolveResult(SolveStatus.DIVERGED, None, point.energy, gnorm, 0, tuple(trace))
+    grad_tol, max_iter = opts.grad_tol, opts.max_iter
+    damping_min, fraction = opts.damping_min, opts.boundary_fraction
     iterations = 0
     flat_left = _FLAT_STEPS
 
     while True:
         p = None
-        if point.grad_norm() <= opts.grad_tol:
+        if gnorm <= grad_tol:
             p = _negative_curvature(*point.bands())
             if p is None:
                 status = SolveStatus.CONVERGED
                 break
-        if iterations == opts.max_iter:
+        if iterations == max_iter:
             status = SolveStatus.MAX_ITERATIONS
             break
         first = False
         if p is None:
-            p, lam, slope = _damped_step(point.gradient(), *point.bands(), opts.damping_min)
+            p, lam, slope = _damped_step(point.gradient(), *point.bands(), damping_min)
             first = iterations == 0 and lam == 0.0
             if slope >= 0.0:
                 # gradient is numerically zero; nothing to gain
@@ -513,20 +520,22 @@ def minimize(
             slope = math.fsum(map(operator.mul, point.gradient(), p))
             if slope > 0.0:
                 p, slope = [-v for v in p], -slope
-        # below the last recorded energy too, after flat steps
-        ceiling = min(point.energy, trace[-1].energy)
-        step = _line_search(
-            spec, point, p, slope, ceiling, flat_left > 0, opts.boundary_fraction, first
-        )
+        # below the last recorded energy too, after flat steps; as
+        # min(point.energy, recorded), NaN included
+        f = point.energy
+        ceiling = recorded if recorded < f else f
+        step = _line_search(spec, point, p, slope, ceiling, flat_left > 0, fraction, first)
         if step is None:
             status = SolveStatus.MAX_ITERATIONS  # stalled by roundoff
             break
         point, flat = step
         iterations += 1
+        gnorm = point.grad_norm()
         if flat:
             flat_left -= 1
             continue
-        trace.append(IterationRecord(iterations, point.energy, point.grad_norm()))
+        recorded = point.energy
+        trace.append(IterationRecord(iterations, recorded, gnorm))
 
     xi_star = None
     if status is SolveStatus.CONVERGED:
@@ -536,9 +545,7 @@ def minimize(
         # and asdict ignore it
         xi_star = object.__new__(FreeBoundaries)
         xi_star.__dict__.update(xi=tuple(point.fronts), _point=point)
-    return SolveResult(
-        status, xi_star, point.energy, point.grad_norm(), iterations, tuple(trace)
-    )
+    return SolveResult(status, xi_star, point.energy, gnorm, iterations, tuple(trace))
 
 
 def ray_point(spec: ProblemSpec, r: int, sigma: float) -> FreeBoundaries:

@@ -336,7 +336,10 @@ def _ode_windows(sol: SelfSimilarSolution) -> list:
         half = 0.5 * (hi - lo)
         a = p.a
         q = 0.5 * kernel.PDF_PEAK * p.scale
-        q_a = q / a
+        try:
+            q_a = q / a  # the first division by a piece's a
+        except ZeroDivisionError:
+            raise ValueError(f"piece {i}: a must be nonzero") from None
         abs_q = abs(q)
         bound = inf
         if abs_q <= _ODE_Q_SAFE and abs(q_a) < inf:
@@ -390,7 +393,10 @@ def validate(sol: SelfSimilarSolution, samples_per_phase: int) -> ResidualReport
     sample never enters the maximum.
 
     samples_per_phase must be a whole number, at least 3; a whole float
-    such as 33.0 is taken as that int.
+    such as 33.0 is taken as that int.  A piece whose a is zero (0.0,
+    -0.0, or a product that underflows to it) raises ValueError naming
+    the piece, where dividing by it would raise ZeroDivisionError; a NaN
+    a raises cdf's ValueError from the jump loop.
     """
     if not (samples_per_phase % 1 == 0 and samples_per_phase >= 3):
         raise ValueError("samples_per_phase must be a whole number, at least 3")

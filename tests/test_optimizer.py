@@ -185,9 +185,26 @@ class TestNewtonStep:
         # wildly indefinite but finite: the Gershgorin bound ends the schedule
         p, lam = _checked_step(g, [-1.9e15, 1.0], [3.0], 1e-12)
         assert lam > 1.9e15 and all(map(math.isfinite, p))
-        for diag, off in (([math.inf, 1.0], [0.0]), ([1.0, 1.0], [math.nan])):
-            with pytest.raises(NewtonBreakdown):
+        for diag, off in (
+            ([math.inf, 1.0], [0.0]),
+            ([1.0, 1.0], [math.nan]),
+            ([math.inf, 1.0], [-math.inf]),  # bands whose sum is NaN
+        ):
+            with pytest.raises(NewtonBreakdown, match="^Hessian is not finite$"):
                 _damped_step(g, diag, off, 1e-12)
+
+    def test_finite_bands_whose_sum_overflows(self):
+        # the sum of the bands is inf, yet every entry is finite: a step
+        g = [1.0, 1.0]
+        p, lam = _checked_step(g, [1e308, 1e308], [0.0], 1e-12)
+        assert lam.hex() == "0x0.0p+0"
+        assert [v.hex() for v in p] == [(-1e-308).hex()] * 2
+        # singular at lam = 0, so damped
+        args = (g, [1e308, 1e308], [1e308], 1e-12)
+        p, lam = _checked_step(*args)
+        assert lam.hex() == "0x1.19799812dea11p+970"
+        assert [v.hex() for v in p] == ["-0x0.330d67819e8d2p-1022", "-0x0.4000000000000p-1022"]
+        assert _same_step((p, lam), damped_step(*args))
 
 
 def _indefinite_bands(rng, n, need):
@@ -254,6 +271,8 @@ _SCHEDULE_EDGES = [
         [float.fromhex("-0x1.8b514177b18cbp+0"), float.fromhex("-0x1.e1697b9431fbbp-5")],
         math.ldexp(1e-12, -60),
     ),
+    # positive definite, but p underflows to zero: lam = 0 does not descend
+    ([5e-324], [1e300], [], 1e-12),
 ]
 
 
@@ -349,6 +368,28 @@ class TestDampingSchedule:
             assert _same_step((list(p), lam), want)
             damped += lam > 0.0
         assert damped >= 10
+
+    @pytest.mark.parametrize("n", [1, 2, 8, 50])
+    def test_positive_definite_bands_take_one_factorization(self, n, monkeypatch):
+        calls = []
+        factor_solve = stefan.optimize._factor_solve
+
+        def counted(diag, off, lam, g):
+            calls.append(lam)
+            return factor_solve(diag, off, lam, g)
+
+        monkeypatch.setattr(stefan.optimize, "_factor_solve", counted)
+        rng = np.random.default_rng([97, n])
+        for trial in range(8):
+            # diagonally dominant, so positive definite
+            diag = [float(v) for v in rng.uniform(2.0, 3.0, size=n)]
+            off = [float(v) for v in rng.uniform(-0.9, 0.9, size=n - 1)]
+            g = [0.0] * n if trial == 7 else [float(v) for v in rng.normal(size=n)]
+            want = damped_step(g, diag, off, 1e-12)
+            del calls[:]
+            got = _checked_step(g, diag, off, 1e-12)
+            assert calls == [0.0]
+            assert got[1] == 0.0 and _same_step(got, want)
 
     def test_factorizations_per_damped_step(self, monkeypatch):
         calls = []

@@ -426,6 +426,20 @@ class TestResiduals:
         assert report.max_ode_residual <= 1e-12
         assert report.max_interface_jump == 0.0
 
+    @pytest.mark.parametrize(
+        "a", [0.0, -0.0, 1e-310 * 1e-300], ids=["zero", "minus-zero", "underflow"]
+    )
+    @pytest.mark.parametrize("index", [0, 1])
+    def test_a_zero_piece_diffusivity_is_named(self, a, index):
+        # a ValueError naming the piece, not a ZeroDivisionError from q / a
+        assert a == 0.0
+        sol = assemble(SYM, (0.0,))
+        pieces = list(sol.pieces)
+        pieces[index] = dataclasses.replace(pieces[index], a=a)
+        hand = solution.SelfSimilarSolution(SYM, sol.xi_star, tuple(pieces))
+        with pytest.raises(ValueError, match=f"^piece {index}: a must be nonzero$"):
+            validate(hand, 33)
+
     def test_stefan_residuals_literal_transcription(self):
         # hand-built balance for the symmetric spec away from the root
         (r,) = stefan_residuals(SYM, (0.5,))
