@@ -140,10 +140,6 @@ def _piece_index(sol: SelfSimilarSolution, xi: float) -> int:
     return bisect_right(sol.xi_star, xi)
 
 
-def _piece_at(sol: SelfSimilarSolution, xi: float) -> Piece:
-    return sol.pieces[_piece_index(sol, xi)]
-
-
 def evaluate_profile(sol: SelfSimilarSolution, xi: float) -> float:
     """Temperature at similarity coordinate xi; +-inf give the far fields.
 
@@ -151,7 +147,9 @@ def evaluate_profile(sol: SelfSimilarSolution, xi: float) -> float:
     which is what gets returned.  The piece lookup and cdf(xi/a) are
     written inline, cdf as ``kernel.cdf``'s own expression, with the
     same operations in the same order, so the value is the same bit for
-    bit; math.erfc maps +-inf to 2 and 0, which gives cdf's limits.
+    bit; math.erfc maps +-inf to 2 and 0, which gives cdf's limits.  A
+    piece whose a is zero raises ValueError naming the piece, as in
+    ``validate``; a NaN a raises cdf's ValueError.
     """
     if xi != xi:
         raise ValueError("xi must not be NaN")
@@ -160,7 +158,10 @@ def evaluate_profile(sol: SelfSimilarSolution, xi: float) -> float:
     if j > 0 and fronts[j - 1] == xi:
         return sol.spec.u[j]
     p = sol.pieces[j]
-    z = 0.5 * (xi / p.a)  # kernel.cdf(xi / p.a), inlined
+    try:
+        z = 0.5 * (xi / p.a)  # kernel.cdf(xi / p.a), inlined
+    except ZeroDivisionError:
+        raise _zero_a(j) from None
     if z <= 0.0:
         c = 0.5 * erfc(-z)
     elif z > 0.0:
@@ -170,6 +171,10 @@ def evaluate_profile(sol: SelfSimilarSolution, xi: float) -> float:
     if c <= 0.5 * (p.cdf_lo + p.cdf_hi):  # p.cdf_mid, inlined
         return p.u_lo + p.scale * (c - p.cdf_lo)
     return p.u_hi + p.scale * (c - p.cdf_hi)
+
+
+def _zero_a(j: int) -> ValueError:
+    return ValueError(f"piece {j}: a must be nonzero")
 
 
 def _derivatives(p: Piece, xi: float) -> Tuple[float, float]:
@@ -182,14 +187,28 @@ def _derivatives(p: Piece, xi: float) -> Tuple[float, float]:
     return p.scale * density / p.a, -0.5 * z * density * p.scale / (p.a * p.a)
 
 
+def _derivatives_at(sol: SelfSimilarSolution, xi: float) -> Tuple[float, float]:
+    j = _piece_index(sol, xi)
+    p = sol.pieces[j]
+    try:
+        return _derivatives(p, xi)
+    except ZeroDivisionError:
+        if p.a == 0.0:
+            raise _zero_a(j) from None
+        raise
+
+
 def profile_slope(sol: SelfSimilarSolution, xi: float) -> float:
-    """dv/dxi, taken from the right at an interface."""
-    return _derivatives(_piece_at(sol, xi), xi)[0]
+    """dv/dxi, taken from the right at an interface.  A piece whose a is
+    zero raises ValueError naming the piece; a NaN a raises pdf's."""
+    return _derivatives_at(sol, xi)[0]
 
 
 def profile_curvature(sol: SelfSimilarSolution, xi: float) -> float:
-    """d2v/dxi2, using the identity pdf'(z) = -z pdf(z) / 2."""
-    return _derivatives(_piece_at(sol, xi), xi)[1]
+    """d2v/dxi2, using the identity pdf'(z) = -z pdf(z) / 2.  A piece
+    whose a is zero raises ValueError naming the piece; a NaN a raises
+    pdf's."""
+    return _derivatives_at(sol, xi)[1]
 
 
 def evaluate_spacetime(sol: SelfSimilarSolution, t: float, x: float) -> float:
@@ -339,7 +358,7 @@ def _ode_windows(sol: SelfSimilarSolution) -> list:
         try:
             q_a = q / a  # the first division by a piece's a
         except ZeroDivisionError:
-            raise ValueError(f"piece {i}: a must be nonzero") from None
+            raise _zero_a(i) from None
         abs_q = abs(q)
         bound = inf
         if abs_q <= _ODE_Q_SAFE and abs(q_a) < inf:

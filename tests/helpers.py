@@ -9,7 +9,9 @@ gradients as black boxes, MultiPassPoint spells out the energy and
 its derivatives one formula per pass, ldl_newton factors first and
 solves afterwards, and the post-solve oracles (assembled_pieces,
 flux_balances, interface_jump) take cdf and pdf from ``kernel`` one call
-per value where the library writes them inline.
+per value where the library writes them inline.  takes_series restates
+log_gap's narrow-strip test, so tests can tell which strips a point
+takes by the inline series, and count_points counts strip passes.
 """
 import math
 
@@ -307,3 +309,36 @@ def interface_jump(sol) -> float:
     if any(map(math.isnan, jumps)):
         return math.nan
     return max(jumps, default=0.0)
+
+
+def series_test(lo: float, hi: float) -> tuple:
+    """(h, h^2 m^2) of the strip (lo, hi) mirrored onto hi > 0, with h its
+    width and m its midpoint: the two values ``kernel.log_gap`` tests."""
+    if hi <= 0.0:
+        lo, hi = -hi, -lo
+    h = hi - lo
+    m = 0.5 * (lo + hi)
+    return h, (h * h) * (m * m)
+
+
+def takes_series(lo: float, hi: float) -> bool:
+    """Whether ``kernel.log_gap(lo, hi)`` takes its midpoint series:
+    h <= 0.2 and h^2 m^2 <= 0.2^2."""
+    h, qw = series_test(lo, hi)
+    return h <= kernel._NARROW and qw <= kernel._NARROW_SQ
+
+
+def count_points(monkeypatch) -> list:
+    """Record the fronts of every ``energy._Point`` built from now on; each
+    is one strip pass."""
+    from stefan.energy import _Point
+
+    built = []
+    real = _Point.__init__
+
+    def counted(self, spec, fronts):
+        built.append(list(fronts))
+        real(self, spec, fronts)
+
+    monkeypatch.setattr(_Point, "__init__", counted)
+    return built

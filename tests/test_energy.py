@@ -5,8 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-import stefan.kernel
 from stefan import (
     EnergyOverflow,
     FreeBoundaries,
@@ -20,6 +20,7 @@ from stefan import (
     gradient,
     hessian,
     hessian_parts,
+    kernel,
     minimize,
     newton_step,
 )
@@ -27,6 +28,7 @@ from stefan.energy import _Point
 
 from helpers import (
     MultiPassPoint,
+    count_points,
     fd_gradient,
     fd_hessian,
     random_convex_spec,
@@ -34,6 +36,9 @@ from helpers import (
     random_fronts,
     random_noncoercive_spec,
     rel_err,
+    series_test,
+    strips,
+    takes_series,
 )
 
 SYM = ProblemSpec(u=(-1.0, 0.0, 1.0), a=(1.0, 1.0), k=(1.0, 1.0), d=(0.0,))
@@ -472,13 +477,139 @@ def test_fused_point_matches_the_multi_pass_oracle(spec, xi):
         assert _bits(got) == _bits(ref)
 
 
+# Strips for the inline midpoint series of _Point: each (lo, hi) is strip
+# 1 of fronts (lo, hi) under unit diffusivities, so the point takes it
+# unscaled.  _SQ_CASES were found by scanning ulps of hi: their h^2 m^2 is
+# one ulp below _NARROW_SQ, on it and one ulp above.
+_NEXT_UP = math.nextafter(kernel._NARROW, math.inf)
+_NEXT_DOWN = math.nextafter(kernel._NARROW, 0.0)
+_TINY = math.nextafter(0.0, 1.0)
+_SQ_CASES = {
+    -1: (1.8999999999999921, 2.002498439450071),
+    0: (1.8999999999999575, 2.0024984394500382),
+    1: (1.8999999999999968, 2.0024984394500756),
+}
+_SERIES_CASES = {
+    # wholly below 0, where log_gap mirrors the strip first
+    "below": (-0.3, -0.2),
+    "below-to-minus-zero": (-0.1, -0.0),
+    "below-to-zero": (-0.1, 0.0),
+    # straddling 0, and from +-0.0
+    "straddle": (-0.05, 0.1),
+    "from-zero": (0.0, 0.1),
+    "from-minus-zero": (-0.0, 0.1),
+    # h equal to _NARROW, one ulp under and one over it
+    "h-narrow": (0.0, kernel._NARROW),
+    "h-narrow-mid-zero": (-0.1, 0.1),
+    "h-narrow-mirrored": (-kernel._NARROW, -0.0),
+    "h-under": (0.0, _NEXT_DOWN),
+    "h-over": (0.0, _NEXT_UP),
+    "h-over-mirrored": (-_NEXT_UP, 0.0),
+    # h^2 m^2 one ulp under _NARROW_SQ, on it and one ulp over, both sides
+    **{f"qw{k:+d}": case for k, case in _SQ_CASES.items()},
+    **{f"qw{k:+d}-mirrored": (-hi, -lo) for k, (lo, hi) in _SQ_CASES.items()},
+    # narrow, but h |m| > _NARROW: the kernel's wide branches
+    "narrow-wide-above": (2.0, 2.15),
+    "narrow-wide-below": (-2.15, -2.0),
+    "narrow-wide-tail": (40.0, 40.006),
+    # deep in a tail
+    "tail": (40.0, 40.004),
+    "tail-mirrored": (-40.004, -40.0),
+    "tail-ulp": (40.0, math.nextafter(40.0, math.inf)),
+    # subnormal widths
+    "subnormal-from-zero": (0.0, _TINY),
+    "subnormal-to-minus-zero": (-_TINY, -0.0),
+    "subnormal-straddle": (-_TINY, _TINY),
+    "subnormal": (1e-310, 2e-310),
+    "one-ulp-at-one": (1.0, math.nextafter(1.0, 2.0)),
+}
+_UNIT = ProblemSpec(u=(-1.0, 0.0, 1.0, 2.0), a=(1.0, 1.0, 1.0), k=(1.0, 1.0, 1.0),
+                    d=(0.0, 0.0))
+
+
+def test_series_cases_sit_where_they_say():
+    for k, (lo, hi) in _SQ_CASES.items():
+        h, qw = series_test(lo, hi)
+        assert h < kernel._NARROW
+        assert qw == {-1: math.nextafter(kernel._NARROW_SQ, 0.0), 0: kernel._NARROW_SQ,
+                      1: math.nextafter(kernel._NARROW_SQ, 1.0)}[k]
+        assert takes_series(lo, hi) == (k <= 0)
+    for name, want in (("h-narrow", kernel._NARROW), ("h-narrow-mid-zero", kernel._NARROW),
+                       ("h-narrow-mirrored", kernel._NARROW), ("h-under", _NEXT_DOWN),
+                       ("h-over", _NEXT_UP), ("h-over-mirrored", _NEXT_UP)):
+        assert series_test(*_SERIES_CASES[name])[0] == want, name
+    for name in ("narrow-wide-above", "narrow-wide-below", "narrow-wide-tail"):
+        lo, hi = _SERIES_CASES[name]
+        assert hi - lo <= kernel._NARROW and not takes_series(lo, hi)
+    for name in ("tail", "tail-mirrored", "subnormal", "subnormal-straddle"):
+        assert takes_series(*_SERIES_CASES[name])
+
+
+@pytest.mark.parametrize("lo, hi", [
+    pytest.param(lo, hi, id=name) for name, (lo, hi) in _SERIES_CASES.items()
+])
+def test_inline_series_is_log_gap(lo, hi, monkeypatch):
+    # the point takes strip 1 by the inline series where log_gap would, and
+    # by log_gap itself elsewhere; either way it holds log_gap's bits
+    want = [kernel.log_gap(b, t) for b, t in ((-math.inf, lo), (lo, hi), (hi, math.inf))]
+    calls = []
+    real = kernel.log_gap
+
+    def counted(b, t):
+        calls.append((b, t))
+        return real(b, t)
+
+    monkeypatch.setattr(kernel, "log_gap", counted)
+    point = _Point(_UNIT, [lo, hi])
+    assert (point.lo[1], point.hi[1]) == (lo, hi)
+    assert _bits(point.lg) == _bits(want)
+    middle = [] if takes_series(lo, hi) else [(lo, hi)]
+    assert calls == [(-math.inf, lo)] + middle + [(hi, math.inf)]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 8),
+    st.sampled_from([random_coercive_spec, random_convex_spec]),
+    st.sampled_from([1.0, 0.25, 0.05, 1e-3, 1e-9]),
+    st.sampled_from([0.0, 1.5, -1.5, 7.0, -7.0, 40.0, -40.0]),
+)
+def test_inline_series_is_log_gap_on_drawn_points(seed, n, family, shrink, shift):
+    # random fronts pressed together by shrink and moved by shift, so that
+    # strips are narrow in the centre and in both tails
+    rng = np.random.default_rng(seed)
+    spec = family(rng, n)
+    xi = [shift + shrink * v for v in random_fronts(rng, n)]
+    if any(not b < t for b, t in zip(xi, xi[1:])):
+        return
+    lo, hi, lg = strips(spec.a, xi)
+    try:
+        point = _Point(spec, xi)
+    except InfeasiblePoint:
+        assert any(not b < t for b, t in zip(lo, hi))
+        return
+    assert _bits(point.lg) == _bits(lg)
+    assert _bits([point.energy]) == _bits([MultiPassPoint(spec, xi).energy])
+
+
 @pytest.mark.parametrize("n", [1, 3, 50])
 def test_a_point_takes_one_log_gap_per_strip_and_one_derivative_pass(n, monkeypatch):
-    calls = {"log_gap": 0, "log_pdf": 0, "pdf": 0, "_derive": 0}
+    # A point takes each strip's log gap once: inline when log_gap would
+    # take its midpoint series, else by one kernel.log_gap call on that
+    # strip.  The fronts are also shrunk toward 0, which makes strips
+    # narrow enough for the series.
+    calls = {"log_gap": [], "log_pdf": 0, "pdf": 0, "_derive": 0}
+    real_log_gap = kernel.log_gap
+
+    def log_gap(lo, hi):
+        calls["log_gap"].append((lo, hi))
+        return real_log_gap(lo, hi)
+
+    monkeypatch.setattr(kernel, "log_gap", log_gap)
     for owner, name in (
-        (stefan.kernel, "log_gap"),
-        (stefan.kernel, "log_pdf"),
-        (stefan.kernel, "pdf"),
+        (kernel, "log_pdf"),
+        (kernel, "pdf"),
         (_Point, "_derive"),
     ):
         real = getattr(owner, name)
@@ -489,12 +620,27 @@ def test_a_point_takes_one_log_gap_per_strip_and_one_derivative_pass(n, monkeypa
 
         monkeypatch.setattr(owner, name, counted)
     rng = np.random.default_rng(n)
-    spec, xi = random_convex_spec(rng, n), list(random_fronts(rng, n))
-    point = _Point(spec, xi)
-    assert calls == {"log_gap": n + 1, "log_pdf": 0, "pdf": 0, "_derive": 0}
-    point.gradient()
-    # one derivative pass, which takes its pdf values without a kernel call
-    assert calls == {"log_gap": n + 1, "log_pdf": 0, "pdf": 0, "_derive": 1}
-    point.grad_norm()
-    point.bands()
-    assert calls == {"log_gap": n + 1, "log_pdf": 0, "pdf": 0, "_derive": 1}
+    spec, fronts = random_convex_spec(rng, n), random_fronts(rng, n)
+    built = count_points(monkeypatch)
+    series = 0
+    for shrink in (1.0, 0.25, 0.05):
+        xi = [shrink * v for v in fronts]
+        lo, hi, lg = strips(spec.a, xi)
+        kernel_strips = [(b, t) for b, t in zip(lo, hi) if not takes_series(b, t)]
+        series += n + 1 - len(kernel_strips)
+        calls.update(log_gap=[], _derive=0)
+        del built[:]
+        point = _Point(spec, xi)
+        assert built == [xi]
+        want = {"log_gap": kernel_strips, "log_pdf": 0, "pdf": 0, "_derive": 0}
+        assert calls == want
+        assert _bits(point.lg) == _bits(lg)
+        point.gradient()
+        # one derivative pass, which takes its pdf values without a kernel call
+        want["_derive"] = 1
+        assert calls == want
+        point.grad_norm()
+        point.bands()
+        assert calls == want
+    # at n = 1 both strips are infinite, so none takes the series
+    assert (series > 0) == (n > 1)

@@ -31,6 +31,7 @@ from stefan.energy import _Point
 from stefan.optimize import _damped_step, _default_start, _factor_solve, _negative_curvature
 
 from helpers import (
+    count_points,
     damped_step,
     dot,
     ldl_newton,
@@ -38,6 +39,8 @@ from helpers import (
     random_convex_spec,
     random_fronts,
     random_noncoercive_spec,
+    strips,
+    takes_series,
 )
 
 SYM = ProblemSpec(u=(-1.0, 0.0, 1.0), a=(1.0, 1.0), k=(1.0, 1.0), d=(0.0,))
@@ -640,16 +643,24 @@ class TestMinimize:
         real = stefan.kernel.log_gap
 
         def counting(a, b):
-            calls.append(1)
+            calls.append((a, b))
             return real(a, b)
 
         monkeypatch.setattr(stefan.kernel, "log_gap", counting)
+        built = count_points(monkeypatch)
         n = 50
         spec = random_convex_spec(np.random.default_rng(3), n)
         res = minimize(spec)
         assert res.status is SolveStatus.CONVERGED
         assert res.iterations >= 5
-        assert len(calls) <= 2 * (n + 1) * res.iterations
+        assert len(built) <= 2 * res.iterations
+        # each pass calls log_gap once per strip outside the midpoint series
+        got, want = list(calls), []
+        for xi in built:
+            lo, hi, _ = strips(spec.a, xi)
+            want += [(b, t) for b, t in zip(lo, hi) if not takes_series(b, t)]
+        assert got == want
+        assert len(got) < (n + 1) * len(built)
 
     def test_certified_minimum_is_factored_once(self, monkeypatch):
         calls = []

@@ -25,6 +25,7 @@ from stefan import FreeBoundaries, kernel, solution
 
 from helpers import (
     assembled_pieces,
+    count_points,
     flux_balances,
     interface_jump,
     quad_cdf,
@@ -69,18 +70,6 @@ def _piece_bits(sol):
     return [[v.hex() for v in dataclasses.astuple(p)] for p in sol.pieces]
 
 
-def _count_log_gap(monkeypatch):
-    calls = []
-    real = kernel.log_gap
-
-    def counted(*args):
-        calls.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(kernel, "log_gap", counted)
-    return calls
-
-
 class TestPointHandover:
     """minimize hands its final point to assemble, outside the fields."""
 
@@ -89,11 +78,12 @@ class TestPointHandover:
         spec = random_convex_spec(np.random.default_rng(500 + n), n)
         res = minimize(spec)
         assert res.status is SolveStatus.CONVERGED
-        calls = _count_log_gap(monkeypatch)
+        built = count_points(monkeypatch)
         sol = assemble(spec, res.xi_star)
-        assert calls == []
+        assert built == []
         fresh = assemble(spec, tuple(res.xi_star.xi))
-        assert len(calls) == n + 1
+        # one strip pass over the n + 1 strips
+        assert built == [list(res.xi_star.xi)]
         assert sol.xi_star == fresh.xi_star
         assert _piece_bits(sol) == _piece_bits(fresh)
 
@@ -102,15 +92,15 @@ class TestPointHandover:
         want = _piece_bits(assemble(THREE, tuple(res.xi_star.xi)))
         twin = ProblemSpec(u=THREE.u, a=THREE.a, k=THREE.k, d=THREE.d)
         assert twin == THREE and twin is not THREE
-        calls = _count_log_gap(monkeypatch)
+        built = count_points(monkeypatch)
         for spec, fronts in (
             (THREE, FreeBoundaries(res.xi_star.xi)),
             (THREE, dataclasses.replace(res.xi_star)),
             (twin, res.xi_star),
         ):
-            del calls[:]
+            del built[:]
             assert _piece_bits(assemble(spec, fronts)) == want
-            assert len(calls) == THREE.n + 1
+            assert built == [list(res.xi_star.xi)]
 
     def test_fields_ignore_the_point(self):
         res = minimize(THREE)
@@ -307,10 +297,42 @@ class TestProfile:
         # the branch for infinite xi leaves every finite value as it was
         grid = [float(g) for g in np.linspace(-60.0, 60.0, 241)] + [-1e300, 1e300]
         for g in grid:
-            p = solution._piece_at(solved_three, g)
+            p = solved_three.pieces[solution._piece_index(solved_three, g)]
             z = g / p.a
             want = -0.5 * z * kernel.pdf(z) * p.scale / (p.a * p.a)
             assert profile_curvature(solved_three, g).hex() == want.hex(), g
+
+    @pytest.mark.parametrize("evaluate", [
+        evaluate_profile,
+        profile_slope,
+        profile_curvature,
+        lambda sol, xi: evaluate_spacetime(sol, 1.0, xi),
+    ], ids=["profile", "slope", "curvature", "spacetime"])
+    @pytest.mark.parametrize(
+        "a", [0.0, -0.0, 1e-310 * 1e-300], ids=["zero", "minus-zero", "underflow"]
+    )
+    @pytest.mark.parametrize("index", [0, 1])
+    def test_a_zero_piece_diffusivity_is_named(self, evaluate, a, index):
+        # a ValueError naming the piece, as validate raises, not a
+        # ZeroDivisionError from xi / a
+        assert a == 0.0
+        sol = assemble(SYM, (0.0,))
+        pieces = list(sol.pieces)
+        pieces[index] = dataclasses.replace(pieces[index], a=a)
+        hand = solution.SelfSimilarSolution(SYM, sol.xi_star, tuple(pieces))
+        with pytest.raises(ValueError, match=f"^piece {index}: a must be nonzero$"):
+            evaluate(hand, 0.5 if index else -0.5)
+
+    def test_a_nan_piece_diffusivity_keeps_the_kernel_error(self):
+        sol = assemble(SYM, (0.0,))
+        hand = solution.SelfSimilarSolution(
+            SYM, sol.xi_star, (dataclasses.replace(sol.pieces[0], a=math.nan), sol.pieces[1])
+        )
+        for evaluate, error in ((evaluate_profile, "cdf"), (profile_slope, "pdf"),
+                                (profile_curvature, "pdf"),
+                                (lambda s, xi: evaluate_spacetime(s, 1.0, xi), "cdf")):
+            with pytest.raises(ValueError, match=f"^{error}: argument must not be NaN$"):
+                evaluate(hand, -0.5)
 
 
 class TestSpacetime:
