@@ -26,9 +26,11 @@ emptied first could at worst be short or empty. A process killed mid-write
 leaves the rows it wrote followed by the rest of the previous file.
 
 Exit codes: 0 success (solve: Converged; check: coercive), 1 bad input,
-unwritable output, a Hessian that is not finite or an energy that
-overflows, 2 check found a non-coercive problem, 3 solve Diverged, 4
-solve stopped at the iteration limit.
+unwritable output, a Hessian that is not finite, an energy that
+overflows or an output value that is not finite (JSON has no Infinity
+or NaN, so the field is named on stderr instead), 2 check found a
+non-coercive problem, 3 solve Diverged, 4 solve stopped at the
+iteration limit.
 """
 
 from __future__ import annotations
@@ -135,10 +137,35 @@ def _report_dict(spec: ProblemSpec) -> dict:
     }
 
 
+def _non_finite(value, name: str = "") -> Optional[str]:
+    """The key path of the first value in a JSON payload that is not finite."""
+    if isinstance(value, dict):
+        items = ((f"{name}.{key}" if name else key, v) for key, v in value.items())
+    elif isinstance(value, list):
+        items = ((name, v) for v in value)
+    else:
+        return name if isinstance(value, float) and not math.isfinite(value) else None
+    for key, v in items:
+        found = _non_finite(v, key)
+        if found is not None:
+            return found
+    return None
+
+
+def _print_json(payload: dict) -> None:
+    """Print payload as strict JSON; a value that is not finite is a
+    ConfigError naming its field."""
+    try:
+        text = json.dumps(payload, indent=2, allow_nan=False)
+    except ValueError:
+        raise ConfigError(f"output field '{_non_finite(payload)}' is not finite") from None
+    print(text)
+
+
 def cmd_check(args) -> int:
     spec, _ = load_config(args.config)
     report = _report_dict(spec)
-    print(json.dumps(report, indent=2))
+    _print_json(report)
     return 0 if report["coercive"] else 2
 
 
@@ -167,7 +194,7 @@ def cmd_solve(args) -> int:
     if result.status is SolveStatus.CONVERGED:
         report = validate(assemble(spec, result.xi_star), _VALIDATE_SAMPLES)
         payload["residuals"] = dataclasses.asdict(report)
-    print(json.dumps(payload, indent=2))
+    _print_json(payload)
     return _EXIT_BY_STATUS[result.status]
 
 
@@ -241,7 +268,7 @@ def cmd_dump(args) -> int:
     spec, opts = load_config(args.config)
     payload = {key: list(getattr(spec, field)) for field, key in _ARRAY_KEYS.items()}
     payload["solver"] = dataclasses.asdict(opts)
-    print(json.dumps(payload, indent=2))
+    _print_json(payload)
     return 0
 
 

@@ -20,7 +20,6 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from math import erfc
-from operator import itemgetter
 from typing import TYPE_CHECKING, Tuple
 
 from . import kernel
@@ -42,21 +41,16 @@ __all__ = [
     "validate",
 ]
 
-# Half-width of the sampling window used for the two unbounded phases.
+# How far the windows of the two unbounded phases reach past the outer fronts.
 _END_WINDOW = 10.0
 
-# The constants of _ode_windows' bound: C*u with C = 4(1 + 2^-20) and
-# u = 2^-53, the underflow weight, the largest |q| whose samples cannot
+# The constants of _ode_bound: C*u with C = 4(1 + 2^-20) and
+# u = 2^-53, the underflow weight, the largest |q| whose products cannot
 # overflow, and where y*exp(-y^2/4) peaks
 _ODE_C_U = 4.0 * (1.0 + 2.0**-20) * 2.0**-53
 _ODE_TINY = 2.0**-1073
 _ODE_Q_SAFE = 2.0**1017
 _SQRT2 = math.sqrt(2.0)
-
-# validate's last (samples_per_phase, Chebyshev cosines) pair.  It is
-# replaced whole, never mutated, so a caller reads one m with its own
-# cosines even while another thread swaps it.
-_COSINES: Tuple[int, Tuple[float, ...]] = (0, ())
 
 
 @dataclass(frozen=True)
@@ -178,13 +172,22 @@ def _zero_a(j: int) -> ValueError:
 
 
 def _derivatives(p: Piece, xi: float) -> Tuple[float, float]:
-    """(v', v'') of piece p at xi, both from one pdf value."""
-    z = xi / p.a
+    """(v', v'') of piece p at xi, both from one pdf value.
+
+    A zero density gives v'' as its signed zero without dividing by a*a.
+    Where a*a underflows to 0 while a does not, v'' is divided by a
+    twice, which gives +-inf where the true v'' overflows.
+    """
+    a = p.a
+    z = xi / a
     density = kernel.pdf(z)
+    slope = p.scale * density / a
     if density == 0.0:
-        # v'' is a signed zero here; with z = +-inf, z * 0 would be NaN
-        z = math.copysign(1.0, z)
-    return p.scale * density / p.a, -0.5 * z * density * p.scale / (p.a * p.a)
+        # with z = +-inf, z * 0 would be NaN
+        return slope, -0.5 * math.copysign(1.0, z) * density * p.scale
+    curvature = -0.5 * z * density * p.scale
+    aa = a * a
+    return slope, (curvature / aa if aa else curvature / a / a)
 
 
 def _derivatives_at(sol: SelfSimilarSolution, xi: float) -> Tuple[float, float]:
@@ -192,10 +195,8 @@ def _derivatives_at(sol: SelfSimilarSolution, xi: float) -> Tuple[float, float]:
     p = sol.pieces[j]
     try:
         return _derivatives(p, xi)
-    except ZeroDivisionError:
-        if p.a == 0.0:
-            raise _zero_a(j) from None
-        raise
+    except ZeroDivisionError:  # only xi / a divides by what can be zero
+        raise _zero_a(j) from None
 
 
 def profile_slope(sol: SelfSimilarSolution, xi: float) -> float:
@@ -280,11 +281,15 @@ def stefan_residuals(spec: ProblemSpec, xi: Fronts) -> np.ndarray:
 class ResidualReport:
     """What ``validate`` measured, and what each figure can detect.
 
-    max_ode_residual: the largest rounding of the pieces' closed form
-        against a^2 v'' + xi v'/2 = 0.  It reads only each piece's
-        ``scale`` and ``a``, so it cannot see a wrong front, a wrong
-        anchor or a wrong temperature; on ``assemble``'s output it is a
-        few eps of the ODE's terms.
+    max_ode_residual: the largest of the pieces' proven bounds on the
+        rounding of their closed form against a^2 v'' + xi v'/2 = 0,
+        each bound held at every point of the piece's window, so at
+        least every sample's residual for any samples_per_phase, and
+        the same for every samples_per_phase.  A piece whose bound is
+        not finite makes it inf.  It reads only each piece's ``scale``
+        and ``a`` and its window, so it cannot see a wrong front, a
+        wrong anchor or a wrong temperature; on ``assemble``'s output it
+        is about 2^-51 times the largest term xi v'/2 in a window.
     max_stefan_residual: the largest literal flux balance at a front.
         It is the only figure that checks the fronts themselves.  A NaN
         balance makes it NaN.
@@ -294,7 +299,8 @@ class ResidualReport:
         takes, so it is 0 by construction on ``assemble``'s output and
         can be nonzero only for a hand-built solution.  A NaN gap, as
         from a NaN scale or anchor, makes it NaN wherever it sits.
-    samples: the number of ODE samples, samples_per_phase * (n + 1).
+    samples: the number of ODE samples, samples_per_phase * (n + 1),
+        every one of which max_ode_residual bounds.
 
     No figure checks that a piece's two anchors agree, that is, that
     u_hi - u_lo = scale * (cdf_hi - cdf_lo); where they do not, the
@@ -308,22 +314,26 @@ class ResidualReport:
     samples: int
 
 
-def _ode_windows(sol: SelfSimilarSolution) -> list:
-    """(bound, mid, half, a, q, q_a) per piece, in descending bound order.
+def _ode_bound(sol: SelfSimilarSolution) -> float:
+    """The largest of the pieces' proven bounds on the ODE residual.
 
-    ``validate`` samples piece p at t = mid + half * c with |c| <= 1,
-    so by monotone rounding every sample lies in [mid - |half|,
-    mid + |half|]; T is the largest |t| there.  A sample's figure is
-    r = e * gap, with gap = |t * q_a - z * q|, q = PDF_PEAK * scale / 2,
-    q_a = q/a, z = t/a and e = exp(-z^2/4), each operation rounded.
-    Both products are t*q/a times two factors 1 + d with |d| <= u =
-    2^-53, so they differ by at most 4u |t q/a|, and by Sterbenz's lemma
-    their difference is exact.  With y = |t|/|a|, so
+    Each piece is an affine image of cdf(xi/a), which solves
+    a^2 v'' + xi v'/2 = 0 exactly, so its residual is only the rounding
+    of that closed form, taken with the density factored out: with
+    q = PDF_PEAK * scale / 2, z = t/a and e = exp(-z^2/4),
+    a^2 v'' = -z q e and t v'/2 = t (q/a) e, and a point t gives
+    r = e * |t (q/a) - z q|, each operation rounded.  Both products are
+    t q/a times two factors 1 + d with |d| <= u = 2^-53, so they differ
+    by at most 4u |t q/a|, and by Sterbenz's lemma their difference is
+    exact.  With y = |t|/|a|, so
 
         r <= 4u |q| y exp(-y^2/4)
 
     up to factors 1 + O(u y^2) from rounding z, z*z, exp (within an
-    ulp) and r, all below 1 + 1e-12 since e > 0 needs y < 55.
+    ulp) and r, all below 1 + 1e-12 since e > 0 needs y < 55.  A piece's
+    window is [mid - |half|, mid + |half|], with mid and half the rounded
+    centre and half-width of its two ends (the unbounded end phases end
+    10 beyond the outermost front), and T is the largest |t| there.
     y exp(-y^2/4) peaks at y = sqrt(2) and is monotone on either side,
     so over the window it is largest at x, the point of its y range
     nearest sqrt(2): x = s/|a|, with s the point of the |t| range
@@ -332,125 +342,93 @@ def _ode_windows(sol: SelfSimilarSolution) -> list:
         B = C u |q| x exp(-x^2/4) + 2^-1073 (T + |q| + 2)
 
     with C = 4 (1 + 2^-20), whose margin covers those factors and the
-    rounding of B itself.  The second term covers underflow: q_a and z
+    rounding of B itself.  The second term covers underflow: q/a and z
     may each lose up to 2^-1075, which the products scale by |t| <= T
     and by |q|; each other rounding, of the products, the subtraction,
     r and B's own terms, loses at most 2^-1075 more, and exp, within an
-    ulp of a subnormal result, 2^-1074 * 4u * 55 |q| at most.
+    ulp of a subnormal result, 2^-1074 * 4u * 55 |q| at most.  So B
+    holds at every point of the window, among them any Chebyshev point
+    mid + half * cos((2j - 1) pi / 2m) a sampled check would take: since
+    |cos| <= 1, rounding, being monotone, keeps each in the window.
 
-    Where a sample's product could overflow while e > 0, that is
-    |q| > 2^1017 or q/a overflowed, r may be inf, and so is B; a B that
-    comes out NaN is inf as well.  No bound is NaN, so the order is
-    total, and every sample of a piece is at most its bound.
+    Where a product could overflow while e > 0, that is |q| > 2^1017 or
+    q/a overflowed, r may be inf, and so is B; a B that comes out NaN is
+    inf as well.  So the result is never NaN.  A piece whose a is zero
+    raises ValueError naming the piece.
     """
     fronts = sol.xi_star
     n = len(fronts)
     exp = math.exp
     inf = math.inf
-    windows = []
+    half_peak = 0.5 * kernel.PDF_PEAK
+    worst = 0.0
+    lo = fronts[0] - _END_WINDOW
     for i, p in enumerate(sol.pieces):
-        lo = fronts[i - 1] if i > 0 else fronts[0] - _END_WINDOW
         hi = fronts[i] if i < n else fronts[-1] + _END_WINDOW
         mid = 0.5 * (lo + hi)
-        half = 0.5 * (hi - lo)
+        h = abs(0.5 * (hi - lo))
+        lo = hi
         a = p.a
-        q = 0.5 * kernel.PDF_PEAK * p.scale
+        q = half_peak * p.scale
         try:
             q_a = q / a  # the first division by a piece's a
         except ZeroDivisionError:
             raise _zero_a(i) from None
         abs_q = abs(q)
-        bound = inf
-        if abs_q <= _ODE_Q_SAFE and abs(q_a) < inf:
-            h = abs(half)
-            t_lo, t_hi = mid - h, mid + h
-            # |t| runs over [small, big]; a NaN end makes big NaN or inf
-            if t_lo > 0.0:
-                small, big = t_lo, t_hi
-            elif t_hi < 0.0:
-                small, big = -t_hi, -t_lo
-            else:
-                small, big = 0.0, (t_hi if t_hi > -t_lo else -t_lo)
-            x = small / abs(a)
-            if not x >= _SQRT2:
-                x = big / abs(a)
-                if x > _SQRT2:
-                    x = _SQRT2
-            bound = _ODE_C_U * abs_q * x * exp(-0.25 * x * x) + _ODE_TINY * (
-                big + abs_q + 2.0
-            )
-            if bound != bound:
-                bound = inf
-        windows.append((bound, mid, half, a, q, q_a))
-    windows.sort(key=itemgetter(0), reverse=True)
-    return windows
+        if not (abs_q <= _ODE_Q_SAFE and abs(q_a) < inf):
+            worst = inf
+            continue
+        t_lo, t_hi = mid - h, mid + h
+        # |t| runs over [small, big]; a NaN end makes big NaN or inf
+        if t_lo > 0.0:
+            small, big = t_lo, t_hi
+        elif t_hi < 0.0:
+            small, big = -t_hi, -t_lo
+        else:
+            small, big = 0.0, (t_hi if t_hi > -t_lo else -t_lo)
+        abs_a = abs(a)
+        x = small / abs_a
+        if not x >= _SQRT2:
+            x = big / abs_a
+            if x > _SQRT2:
+                x = _SQRT2
+        bound = _ODE_C_U * abs_q * x * exp(-0.25 * x * x) + _ODE_TINY * (
+            big + abs_q + 2.0
+        )
+        if not bound <= worst:
+            worst = bound if bound == bound else inf
+    return worst
 
 
 def validate(sol: SelfSimilarSolution, samples_per_phase: int) -> ResidualReport:
     """Residuals of the assembled profile against the governing equations.
 
-    ODE residuals |a^2 v'' + xi v'/2| are sampled at Chebyshev points
-    inside every phase (the unbounded end phases over a window of
-    width 10 beyond the outermost interface); interface jumps compare
+    The ODE figure is the largest per-piece bound of ``_ode_bound`` on
+    |a^2 v'' + xi v'/2| over each phase's window (the unbounded end
+    phases over a window of width 10 beyond the outermost interface).
+    Each bound holds at every point of its window, so the figure is at
+    least the residual at each of the samples_per_phase Chebyshev points
+    per phase that a sampled check would take, and the same for every
+    samples_per_phase; no point is sampled.  Interface jumps compare
     both one-sided piece values against the phase temperatures; flux
     residuals are the literal interface balances.  The ODE and jump
     numbers check the construction itself, the flux residuals check
     whether the supplied interface positions actually solve the
     problem (see ``ResidualReport``).
 
-    Each piece is an affine image of cdf(xi/a), which solves the ODE
-    exactly, so the ODE figure is the rounding of that closed form
-    with the density factored out: with q = PDF_PEAK * scale / 2,
-    z = xi/a and e = exp(-z^2/4), a^2 v'' = -z q e and xi v'/2 =
-    xi (q/a) e, and the residual is e * |xi (q/a) - z q|.  Two prunings
-    leave the maximum the same bits as over every sample.  Pieces are
-    visited in descending order of a proven bound on their samples
-    (``_ode_windows``), and the loop stops at the first piece whose
-    bound does not exceed the running maximum.  Within a piece, since
-    e <= 1, a sample whose gap |xi (q/a) - z q| does not exceed the
-    running maximum cannot raise it, and its exp is skipped.  A NaN
-    sample never enters the maximum.
-
     samples_per_phase must be a whole number, at least 3; a whole float
-    such as 33.0 is taken as that int.  A piece whose a is zero (0.0,
-    -0.0, or a product that underflows to it) raises ValueError naming
-    the piece, where dividing by it would raise ZeroDivisionError; a NaN
-    a raises cdf's ValueError from the jump loop.
+    such as 33.0 is taken as that int, and ``samples`` counts
+    samples_per_phase * (n + 1).  A piece whose a is zero (0.0, -0.0,
+    or a product that underflows to it) raises ValueError naming the
+    piece, where dividing by it would raise ZeroDivisionError; a NaN a
+    raises cdf's ValueError from the jump loop.
     """
     if not (samples_per_phase % 1 == 0 and samples_per_phase >= 3):
         raise ValueError("samples_per_phase must be a whole number, at least 3")
     spec = sol.spec
     fronts = sol.xi_star
     n = len(fronts)
-
-    # Chebyshev nodes of each phase are mid + half * cos(...), with the
-    # same cosines for every phase, and for every call with this m
-    global _COSINES
-    m = int(samples_per_phase)
-    cached_m, cosines = _COSINES
-    if cached_m != m:
-        cosines = tuple(
-            math.cos((2 * j - 1) * math.pi / (2 * m)) for j in range(1, m + 1)
-        )
-        _COSINES = (m, cosines)
-    exp = math.exp
-    max_ode = 0.0
-    for bound, mid, half, a, q, q_a in _ode_windows(sol):
-        if bound <= max_ode:
-            # no sample of this piece or of any later one can raise it
-            break
-        for c in cosines:
-            t = mid + half * c
-            z = t / a
-            # the closed form's rounding, density factored out: e * gap
-            # with e = exp(-z^2/4) <= 1, so a gap that does not exceed
-            # max_ode cannot raise it and needs no exp; a NaN gap or
-            # product never enters it
-            gap = abs(t * q_a - z * q)
-            if gap > max_ode:
-                r = exp(-0.25 * z * z) * gap
-                if r > max_ode:
-                    max_ode = r
+    max_ode = _ode_bound(sol)
 
     # cdf(front/a) of each piece next to a front, inlined as in
     # evaluate_profile; a jump that is NaN wins, as in numpy.max
@@ -488,5 +466,5 @@ def validate(sol: SelfSimilarSolution, samples_per_phase: int) -> ResidualReport
         max_ode_residual=max_ode,
         max_stefan_residual=max_stefan,
         max_interface_jump=max_jump,
-        samples=m * (n + 1),
+        samples=int(samples_per_phase) * (n + 1),
     )

@@ -595,7 +595,8 @@ class TestDump:
 
 class TestInfiniteLoad:
     """Loads k / a^2 that are infinite: a^2 underflowing to 0, or the
-    quotient overflowing.  The well-posedness report is computed; a solve
+    quotient overflowing.  The well-posedness report holds an infinite
+    sum, which is not JSON, so check exits 1 naming the field; a solve
     meets a Hessian that is not finite and exits 1 with a message."""
 
     CONFIGS = [
@@ -608,10 +609,11 @@ class TestInfiniteLoad:
     @pytest.mark.parametrize("cfg", CONFIGS)
     def test_check_reports_and_solve_exits_1(self, tmp_path, capsys, cfg):
         path = write_config(tmp_path, cfg)
-        assert main(["check", path]) == 0
-        report = json.loads(capsys.readouterr().out)
-        assert report["S_upper"] == [math.inf]
-        assert report["coercive"] is True
+        assert stefan.check_wellposedness(load_config(path)[0]).S_upper == (math.inf,)
+        assert main(["check", path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: output field 'S_upper' is not finite\n"
         profile = ["profile", path, "--t", "1", "--x-min", "-1", "--x-max", "1",
                    "--samples", "3", "--out", str(tmp_path / "p.csv")]
         for argv in (["solve", path], profile):
@@ -632,6 +634,48 @@ class TestInfiniteLoad:
         assert proc.returncode == 1
         assert proc.stderr.startswith("error:")
         assert "Traceback" not in proc.stderr
+
+
+class TestStrictJson:
+    """Every report is strict JSON: a value that is not finite exits 1
+    with one error line naming its field, never as Infinity or NaN."""
+
+    def test_check_process_prints_one_error_line(self, tmp_path):
+        env = dict(os.environ)
+        src = str(Path(stefan.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        path = write_config(tmp_path, TestInfiniteLoad.CONFIGS[0])
+        proc = subprocess.run(
+            [sys.executable, "-m", "stefan", "check", path],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr == "error: output field 'S_upper' is not finite\n"
+
+    def test_dump_of_an_infinite_option(self, tmp_path, capsys):
+        # xi_max only has to be positive, and JSON's 1e309 parses to inf
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(SYM_OK)[:-1] + ', "solver": {"xi_max": 1e309}}')
+        assert load_config(str(path))[1].xi_max == math.inf
+        assert main(["dump", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: output field 'solver.xi_max' is not finite\n"
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_solve_with_a_residual_that_is_not_finite(
+        self, tmp_path, capsys, monkeypatch, value
+    ):
+        report = stefan.ResidualReport(value, 0.0, 0.0, 66)
+        monkeypatch.setattr(stefan.cli, "validate", lambda sol, m: report)
+        path = write_config(tmp_path, SYM_OK)
+        assert main(["solve", path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: output field 'residuals.max_ode_residual' is not finite\n"
+        )
 
 
 class TestEnergyOverflow:
