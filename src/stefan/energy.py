@@ -24,7 +24,10 @@ The first scales each strip's ends, checks that they are strictly
 ordered (the feasibility test of every point the solver evaluates) and
 takes the strip's log gap and energy term.  The second, run only when a
 derivative is asked for, gives the gradient, its max-norm and both
-bands of the tridiagonal Hessian together.
+bands of the tridiagonal Hessian together.  From _VECTOR_N fronts on,
+both passes run as numpy array arithmetic with the same values bit for
+bit (the ``_vector`` module, which imports numpy, on the first such
+point).
 """
 
 from __future__ import annotations
@@ -182,6 +185,12 @@ class FreeBoundaries:
 
 Fronts = Union[FreeBoundaries, Sequence[float]]
 
+# Points with this many fronts or more take their strip and derivative
+# passes as array arithmetic (the ``_vector`` module), fewer the scalar
+# loops, which are faster there; the crossover is measured in
+# BENCH_vector_point.json.
+_VECTOR_N = 88
+
 
 def _fronts(spec: ProblemSpec, xi: Fronts) -> Tuple[float, ...]:
     vals = xi.xi if isinstance(xi, FreeBoundaries) else FreeBoundaries(tuple(xi)).xi
@@ -217,57 +226,70 @@ class _Point:
     ``parts`` runs the same pass and records each strip's HessianParts
     entries as well, so the Hessian formulas live in that one loop.
 
+    A point with _VECTOR_N fronts or more makes both passes as numpy
+    array arithmetic instead, in ``_vector``, with every value the
+    scalar passes' bit for bit; lo, hi, lg, the gradient and the bands
+    are lists of floats either way.  It keeps its arrays for the second
+    pass as ``_arrays``, which is None on the scalar path.  ``parts``
+    always takes the scalar pass.
+
     ``minimize`` hands its final point to ``solution.assemble`` on the
     FreeBoundaries it returns, so a converged solve's strips are not
     taken again.
     """
 
     __slots__ = ("spec", "fronts", "energy", "lo", "hi", "lg", "_grad", "_gnorm",
-                 "_bands")
+                 "_bands", "_arrays")
 
     def __init__(self, spec: ProblemSpec, fronts: Sequence[float]):
-        a, d = spec.a, spec.d
-        energy_w = spec._strip_weights[0]
-        log_gap = kernel.log_gap
         n = len(fronts)
-        lo = [-math.inf] * (n + 1)
-        hi = [math.inf] * (n + 1)
-        lg = [0.0] * (n + 1)
-        # the n+1 strip terms, then the n quadratic ones
-        terms = [0.0] * (2 * n + 1)
-        b = -math.inf  # lower end of strip i
-        for i in range(n):
-            x = fronts[i]
-            t = hi[i] = x / a[i]
-            if not b < t:
-                raise InfeasiblePoint(f"xi: strip {i} is empty once scaled")
-            # log_gap's midpoint series, inlined.  log_gap first mirrors a
-            # strip with t <= 0 onto (-t, -b); negation is exact and
-            # round-to-nearest is symmetric, so that changes neither h
-            # nor m*m, and the series needs no mirror here.
-            h = t - b
-            if h <= _NARROW:
-                w = 0.5 * (b + t)
-                w *= w
-                q = h * h
-                if q * w <= _NARROW_SQ:
-                    g = lg[i] = _log(h) + (-0.25 * w - _LOG_2_SQRT_PI) + _log1p(
-                        q * ((w - 2.0) / 96.0 + q * (
-                            ((w - 12.0) * w + 12.0) / 30720.0 + q * (
-                            (((w - 30.0) * w + 180.0) * w - 120.0) / 20643840.0 + q * (
-                            ((((w - 56.0) * w + 840.0) * w - 3360.0) * w + 1680.0)
-                            / 23781703680.0)))))
+        if n >= _VECTOR_N:
+            from . import _vector
+
+            lo, hi, lg, terms, self._arrays = _vector.strip_pass(spec, fronts)
+        else:
+            a, d = spec.a, spec.d
+            energy_w = spec._strip_weights[0]
+            log_gap = kernel.log_gap
+            lo = [-math.inf] * (n + 1)
+            hi = [math.inf] * (n + 1)
+            lg = [0.0] * (n + 1)
+            # the n+1 strip terms, then the n quadratic ones
+            terms = [0.0] * (2 * n + 1)
+            b = -math.inf  # lower end of strip i
+            for i in range(n):
+                x = fronts[i]
+                t = hi[i] = x / a[i]
+                if not b < t:
+                    raise InfeasiblePoint(f"xi: strip {i} is empty once scaled")
+                # log_gap's midpoint series, inlined.  log_gap first mirrors a
+                # strip with t <= 0 onto (-t, -b); negation is exact and
+                # round-to-nearest is symmetric, so that changes neither h
+                # nor m*m, and the series needs no mirror here.
+                h = t - b
+                if h <= _NARROW:
+                    w = 0.5 * (b + t)
+                    w *= w
+                    q = h * h
+                    if q * w <= _NARROW_SQ:
+                        g = lg[i] = _log(h) + (-0.25 * w - _LOG_2_SQRT_PI) + _log1p(
+                            q * ((w - 2.0) / 96.0 + q * (
+                                ((w - 12.0) * w + 12.0) / 30720.0 + q * (
+                                (((w - 30.0) * w + 180.0) * w - 120.0) / 20643840.0 + q * (
+                                ((((w - 56.0) * w + 840.0) * w - 3360.0) * w + 1680.0)
+                                / 23781703680.0)))))
+                    else:
+                        g = lg[i] = log_gap(b, t)
                 else:
                     g = lg[i] = log_gap(b, t)
-            else:
-                g = lg[i] = log_gap(b, t)
-            terms[i] = -(energy_w[i] * g)
-            terms[n + 1 + i] = 0.25 * d[i] * x * x
-            b = lo[i + 1] = x / a[i + 1]
-        if not b < math.inf:
-            raise InfeasiblePoint(f"xi: strip {n} is empty once scaled")
-        g = lg[n] = log_gap(b, math.inf)
-        terms[n] = -(energy_w[n] * g)
+                terms[i] = -(energy_w[i] * g)
+                terms[n + 1 + i] = 0.25 * d[i] * x * x
+                b = lo[i + 1] = x / a[i + 1]
+            if not b < math.inf:
+                raise InfeasiblePoint(f"xi: strip {n} is empty once scaled")
+            g = lg[n] = log_gap(b, math.inf)
+            terms[n] = -(energy_w[n] * g)
+            self._arrays = None
         self.spec = spec
         self.fronts = fronts
         try:
@@ -289,6 +311,12 @@ class _Point:
         beta_minus for strip 0, beta_plus for strip n) are placeholders.
         """
         spec, x = self.spec, self.fronts
+        if self._arrays is not None and strips is None:
+            from . import _vector
+
+            self._grad, self._gnorm, self._bands = _vector.derivative_pass(
+                spec, self._arrays)
+            return
         _, flux_w, curvature_w = spec._strip_weights
         d = spec.d
         lo, hi, lg = self.lo, self.hi, self.lg

@@ -39,9 +39,11 @@ each place, and tests hold each equal to the call bit for bit:
   ``solution.validate`` (the interface-jump loop);
 - cdf and pdf in ``solution._flux_balances``, the literal flux
   balances, which takes cdf(s) and cdf(-s) from one erfc(|s|/2);
-- log_pdf in ``energy._Point._derive``, the derivative pass;
+- log_pdf in ``energy._Point._derive``, the derivative pass, and in
+  ``_vector.derivative_pass``, its numpy form;
 - log_gap's midpoint series in ``energy._Point.__init__``, the strip
-  pass, with the narrow test and its constants _NARROW and _NARROW_SQ.
+  pass, and in ``_vector.strip_pass``, its numpy form, each
+  with the narrow test and its constants _NARROW and _NARROW_SQ.
 """
 
 from __future__ import annotations

@@ -97,12 +97,13 @@ class SolveOptions:
     """Settings of ``minimize``.
 
     grad_tol: the gradient max-norm at or below which a point with all
-        Hessian pivots positive is a certified minimum.
+        Hessian pivots positive is a certified minimum; finite, since an
+        infinite one certifies any start with positive pivots.
     max_iter: the most Newton steps a solve may take.
     xi_max: kept as a field, a config key and in ``stefan dump``, and
-        still checked to be positive, but it no longer affects a solve:
-        ``minimize`` decides divergence by the coercivity verdict, not
-        by an iterate leaving [-xi_max, xi_max].
+        still checked to be positive and finite, but it no longer
+        affects a solve: ``minimize`` decides divergence by the
+        coercivity verdict, not by an iterate leaving [-xi_max, xi_max].
     boundary_fraction: the longest first trial of a line search, as a
         fraction of the way to the first collision of two fronts.
     damping_min: the least positive damping lambda of a Newton step;
@@ -116,13 +117,13 @@ class SolveOptions:
     damping_min: float = 1e-12
 
     def __post_init__(self):
-        if not self.grad_tol > 0.0:
-            raise ValueError("grad_tol must be positive")
+        if not 0.0 < self.grad_tol < math.inf:
+            raise ValueError("grad_tol must be positive and finite")
         if not (self.max_iter % 1 == 0 and self.max_iter >= 1):
             raise ValueError("max_iter must be a whole number, at least 1")
         object.__setattr__(self, "max_iter", int(self.max_iter))
-        if not self.xi_max > 0.0:
-            raise ValueError("xi_max must be positive")
+        if not 0.0 < self.xi_max < math.inf:
+            raise ValueError("xi_max must be positive and finite")
         if not 0.0 < self.boundary_fraction < 1.0:
             raise ValueError("boundary_fraction must lie in (0, 1)")
         if not 0.0 < self.damping_min < math.inf:

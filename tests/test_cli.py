@@ -134,6 +134,19 @@ class TestLoadConfig:
         assert captured.out == ""
         assert captured.err.startswith("error:") and captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("key", ["grad_tol", "xi_max"])
+    def test_rejects_infinite_tolerance_and_bound(self, tmp_path, capsys, key):
+        # JSON's 1e309 parses to inf; an infinite grad_tol would certify
+        # the start of this coercive problem, 0.13 from its root
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(ASYM_LATENT)[:-1] + f', "solver": {{"{key}": 1e309}}}}')
+        with pytest.raises(ConfigError, match=f"{key} must be positive and finite"):
+            load_config(str(path))
+        assert main(["solve", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
     def test_rejects_nan(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(
@@ -654,14 +667,14 @@ class TestStrictJson:
         assert proc.stderr == "error: output field 'S_upper' is not finite\n"
 
     def test_dump_of_an_infinite_option(self, tmp_path, capsys):
-        # xi_max only has to be positive, and JSON's 1e309 parses to inf
+        # JSON's 1e309 parses to inf, which the options reject on loading,
+        # so dump exits 1 with that one line before printing anything
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(SYM_OK)[:-1] + ', "solver": {"xi_max": 1e309}}')
-        assert load_config(str(path))[1].xi_max == math.inf
         assert main(["dump", str(path)]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: output field 'solver.xi_max' is not finite\n"
+        assert captured.err == "error: key 'solver': xi_max must be positive and finite\n"
 
     @pytest.mark.parametrize("value", [math.inf, math.nan])
     def test_solve_with_a_residual_that_is_not_finite(
@@ -768,3 +781,23 @@ def test_missing_subcommand_is_usage_error(capsys):
         main([])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("n", [100, 200])
+def test_large_solve_prints_the_scalar_paths_bytes(tmp_path, capsys, monkeypatch, n):
+    # n = 100 converges, n = 200 ends in the roundoff stall (exit 4)
+    from helpers import random_convex_spec
+
+    energy_module = sys.modules["stefan.energy"]
+    spec = random_convex_spec(np.random.default_rng(0), n)
+    path = write_config(tmp_path, {
+        "temperatures": list(spec.u), "diffusivities": list(spec.a),
+        "conductivities": list(spec.k), "stefan_numbers": list(spec.d),
+    })
+    outputs = []
+    for threshold in (1, math.inf):
+        monkeypatch.setattr(energy_module, "_VECTOR_N", threshold)
+        code = main(["solve", path])
+        outputs.append((code, capsys.readouterr()))
+    assert outputs[0][0] == (0 if n == 100 else 4)
+    assert outputs[0] == outputs[1]

@@ -26,6 +26,9 @@ from stefan import (
 )
 from stefan.energy import _Point
 
+# stefan.energy is the function; the module is looked up by name
+ENERGY = importlib.import_module("stefan.energy")
+
 from helpers import (
     MultiPassPoint,
     count_points,
@@ -417,6 +420,24 @@ def test_strip_weights_stay_out_of_the_dataclass_surface():
         assert list(gradient(changed, xi)) == list(gradient(fresh, xi))
 
 
+def test_spec_arrays_stay_out_of_the_dataclass_surface(monkeypatch):
+    import dataclasses
+
+    monkeypatch.setattr(ENERGY, "_VECTOR_N", 1)
+    spec = ProblemSpec(u=[0.0, 1.0, 3.0], a=[1.0, 2.0], k=[1.0, 1.0], d=[0.5])
+    twin = ProblemSpec(u=[0.0, 1.0, 3.0], a=[1.0, 2.0], k=[1.0, 1.0], d=[0.5])
+    first = energy(spec, [0.3])
+    assert hasattr(spec, "_strip_arrays") and not hasattr(twin, "_strip_arrays")
+    assert spec == twin and hash(spec) == hash(twin) and repr(spec) == repr(twin)
+    # replace builds a new spec, whose arrays are its own
+    changed = dataclasses.replace(spec, k=(2.0, 1.0))
+    assert not hasattr(changed, "_strip_arrays")
+    assert energy(changed, [0.3]) != first == energy(dataclasses.replace(spec), [0.3])
+    monkeypatch.setattr(ENERGY, "_VECTOR_N", math.inf)
+    assert energy(changed, [0.3]) == energy(ProblemSpec(u=spec.u, a=spec.a, k=(2.0, 1.0),
+                                                        d=spec.d), [0.3])
+
+
 # far out, distinct fronts can round to one scaled value: here x/0.8 at
 # 1e6, so THREE's strip 1 is empty although the fronts increase
 COLLAPSED = (1e6, math.nextafter(1e6, math.inf), 2e6)
@@ -438,6 +459,44 @@ def test_strip_empty_once_scaled_is_infeasible(evaluate):
         evaluate(THREE, COLLAPSED)
 
 
+# 105 fronts: wide strips in both tails (|xi/a| up to 40) and in the
+# centre, one straddling 0, 0.15-wide strips far out that fail the
+# series' q w test, 1e-9-wide strips, and narrow strips at 6 that take
+# the series
+MIXED_FRONTS = tuple(
+    [-40.0 + 2.5 * i for i in range(6)]
+    + [-27.0 + 0.15 * i for i in range(8)]
+    + [-20.0 + 1e-9 * i for i in range(4)]
+    + [-6.2 + 1.3 * i for i in range(10)]
+    + [6.0 + 0.01 * i for i in range(60)]
+    + [15.0 + 1e-9 * i for i in range(4)]
+    + [20.0 + 0.15 * i for i in range(8)]
+    + [30.0 + 2.5 * i for i in range(5)]
+)
+_MIXED_BASE = random_convex_spec(np.random.default_rng(77), len(MIXED_FRONTS))
+MIXED = ProblemSpec(u=_MIXED_BASE.u, a=[1.0 - 0.002 * (i % 3) for i in range(106)],
+                    k=_MIXED_BASE.k, d=_MIXED_BASE.d)
+
+
+def test_mixed_point_has_every_kind_of_strip():
+    lo, hi, _ = strips(MIXED.a, MIXED_FRONTS)
+    kinds = set()
+    for b, t in zip(lo[1:-1], hi[1:-1]):
+        if takes_series(b, t):
+            kinds.add("tiny" if t - b < 1e-8 else "series")
+        elif t - b <= kernel._NARROW:
+            kinds.add("narrow-wide")
+        elif b < 0.0 < t:
+            kinds.add("straddle")
+        elif max(abs(b), abs(t)) < kernel._TAIL_SWITCH:
+            kinds.add("central")
+        elif min(abs(b), abs(t)) >= kernel._TAIL_SWITCH:
+            kinds.add("tail")
+    assert kinds == {"tiny", "series", "narrow-wide", "straddle", "central", "tail"}
+    assert max(abs(v) for v in lo[1:] + hi[:-1]) > 40.0
+    assert len(MIXED_FRONTS) >= ENERGY._VECTOR_N
+
+
 def _oracle_cases():
     rng = np.random.default_rng(2024)
     for n in (1, 2, 50, 200):
@@ -457,6 +516,16 @@ def _oracle_cases():
     # strips whose ends lie on both sides of 0
     yield "straddle", THREE, (-0.7, 0.1, 0.9)
     yield "straddle-zero-front", THREE, (-1e-3, 0.0, 5e-4)
+    # a front past 2**513, whose tail strip's log gap is -inf, so its
+    # pdf/gap ratio and one gradient entry are NaN: the max-norm skips a
+    # later NaN and keeps a leading one
+    yield "nan-gradient-last", THREE, (-0.5, 0.4, 1e155)
+    yield "nan-gradient-first", THREE, (-1e155, 0.4, 1.0)
+    # n >= _VECTOR_N: every kind of strip in one point, and narrow strips
+    # in a tail, some taking the series and some failing its q w test
+    yield "mixed-n105", MIXED, MIXED_FRONTS
+    spec = random_coercive_spec(rng, 100)
+    yield "narrow-tail-n100", spec, tuple(7.5 + 0.05 * v for v in random_fronts(rng, 100))
 
 
 def _bits(values):
@@ -471,10 +540,87 @@ def test_fused_point_matches_the_multi_pass_oracle(spec, xi):
     assert _bits([point.energy]) == _bits([want.energy])
     assert _bits(point.gradient()) == _bits(want.gradient)
     assert _bits([point.grad_norm()]) == _bits([max(abs(v) for v in want.gradient)])
-    for got, ref in zip(point.parts(), want.parts):
-        assert _bits(got) == _bits(ref)
+    # the bands before parts, whose pass replaces the cached gradient
     for got, ref in zip(point.bands(), want.bands):
         assert _bits(got) == _bits(ref)
+    for got, ref in zip(point.parts(), want.parts):
+        assert _bits(got) == _bits(ref)
+    for got, ref in zip((point.lo, point.hi, point.lg), strips(spec.a, list(xi))):
+        assert _bits(got) == _bits(ref)
+    values = [point.energy, point.grad_norm(), *point.gradient(), *point.lo, *point.hi,
+              *point.lg, *point.bands()[0], *point.bands()[1]]
+    assert all(type(v) is float for v in values)
+
+
+@pytest.mark.parametrize("path", ["scalar", "vector"])
+@pytest.mark.parametrize("spec, xi", [
+    pytest.param(spec, xi, id=name) for name, spec, xi in _oracle_cases()
+])
+def test_both_point_paths_match_the_multi_pass_oracle(spec, xi, path, monkeypatch):
+    # every case on each path, whatever its n
+    monkeypatch.setattr(ENERGY, "_VECTOR_N", 1 if path == "vector" else math.inf)
+    test_fused_point_matches_the_multi_pass_oracle(spec, xi)
+
+
+def _scalar_and_vector(monkeypatch, evaluate):
+    """What evaluate() returns or raises on the scalar path, then on the
+    vector path, each as (type, message) or its value."""
+    outcomes = []
+    for threshold in (math.inf, 1):
+        monkeypatch.setattr(ENERGY, "_VECTOR_N", threshold)
+        try:
+            outcomes.append(evaluate())
+        except Exception as exc:
+            outcomes.append((type(exc), str(exc)))
+    return outcomes
+
+
+_WIDE = random_convex_spec(np.random.default_rng(5), 100)
+# far out, x/0.8 rounds 1e6 and the next double up to one value
+_WIDE_AT_0_8 = ProblemSpec(u=_WIDE.u, a=(0.8,) * 101, k=_WIDE.k, d=_WIDE.d)
+
+
+@pytest.mark.parametrize("where", ["first", "middle", "last"])
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "collapsed"])
+def test_vector_path_raises_the_scalar_infeasible_point(bad, where, monkeypatch):
+    n = _WIDE.n
+    j = {"first": 0, "middle": n // 2, "last": n - 1}[where]
+    if bad == "collapsed":
+        # fronts j-1 and j, or 0 and 1, one ulp apart at 1e6
+        k = max(j, 1)
+        spec = _WIDE_AT_0_8
+        xi = [1e6 + 2.0 * (i - k + 1) for i in range(n)]
+        xi[k] = math.nextafter(xi[k - 1], math.inf)
+        assert xi[k - 1] / 0.8 == xi[k] / 0.8
+        strip = k
+    else:
+        spec = _WIDE
+        xi = list(random_fronts(np.random.default_rng(6), n))
+        xi[j] = {"nan": math.nan, "inf": math.inf, "-inf": -math.inf}[bad]
+        strip = j + 1 if bad == "inf" else j
+    scalar, vector = _scalar_and_vector(monkeypatch, lambda: _Point(spec, xi))
+    assert scalar == (InfeasiblePoint, f"xi: strip {strip} is empty once scaled")
+    assert vector == scalar
+
+
+@pytest.mark.parametrize("n", [1, 100])
+def test_vector_path_raises_the_scalar_energy_overflow(n, monkeypatch):
+    # the two end strips' terms are about 1.5e308 each; interior ones are small
+    huge = ProblemSpec(u=(-1.7e308, *map(float, range(n)), 1.7e308), a=(1.0,) * (n + 1),
+                       k=(1.0,) * (n + 1), d=(0.0,) * n)
+    xi = [0.0] if n == 1 else [-0.3 + 0.006 * i for i in range(n)]
+    scalar, vector = _scalar_and_vector(monkeypatch, lambda: _Point(huge, xi))
+    assert scalar[0] is EnergyOverflow and "common factor" in scalar[1]
+    assert vector == scalar
+
+
+def test_the_vector_point_takes_one_log_gap_per_strip_and_one_derivative_pass(
+    monkeypatch
+):
+    # kernel strips in strip order, strip 0 first, on the vector path
+    monkeypatch.setattr(ENERGY, "_VECTOR_N", 1)
+    for n in (1, 3, 50):
+        test_a_point_takes_one_log_gap_per_strip_and_one_derivative_pass(n, monkeypatch)
 
 
 # Strips for the inline midpoint series of _Point: each (lo, hi) is strip

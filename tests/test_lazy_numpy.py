@@ -1,6 +1,7 @@
 """numpy stays out of ``import stefan`` and the CLI; the five public
 functions that return arrays load it on first call and keep their
-types, shapes and values."""
+types, shapes and values.  The first point with ``energy._VECTOR_N``
+fronts or more loads it too, for its array passes."""
 import os
 import subprocess
 import sys
@@ -82,3 +83,26 @@ def test_grid_search_result_unchanged():
         on_boundary=False,
     )
     assert type(res.xi.xi[0]) is float
+
+
+# run in a fresh interpreter: a point just under the threshold leaves
+# numpy unloaded, and the first one at it loads it
+VECTOR_POINT_LOADS_NUMPY = """
+import sys
+import stefan
+from stefan.energy import _VECTOR_N, _Point
+for n, loaded in ((_VECTOR_N - 1, False), (_VECTOR_N, True)):
+    spec = stefan.ProblemSpec(u=range(n + 2), a=[1.0] * (n + 1), k=[1.0] * (n + 1),
+                              d=[0.0] * n)
+    _Point(spec, [0.1 * i for i in range(n)]).gradient()
+    assert ("numpy" in sys.modules) is loaded, n
+"""
+
+
+def test_the_first_vector_point_loads_numpy():
+    env = dict(os.environ)
+    src = str(Path(stefan.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", VECTOR_POINT_LOADS_NUMPY], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

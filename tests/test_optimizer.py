@@ -95,6 +95,13 @@ class TestSolveOptions:
         with pytest.raises(ValueError):
             SolveOptions(xi_max=-1.0)
 
+    @pytest.mark.parametrize("field", ["grad_tol", "xi_max"])
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.inf, math.nan])
+    def test_tolerance_and_bound_must_be_positive_and_finite(self, field, value):
+        # an infinite grad_tol certifies any start with positive pivots
+        with pytest.raises(ValueError, match=f"{field} must be positive and finite"):
+            SolveOptions(**{field: value})
+
     @pytest.mark.parametrize("damping_min", [0.0, -1e-12, math.inf, math.nan])
     def test_damping_min_must_be_positive_and_finite(self, damping_min):
         # an infinite damping_min damps every trial to p = 0
@@ -661,6 +668,11 @@ class TestMinimize:
             want += [(b, t) for b, t in zip(lo, hi) if not takes_series(b, t)]
         assert got == want
         assert len(got) < (n + 1) * len(built)
+
+    def test_one_strip_pass_per_iteration_on_the_vector_point(self, monkeypatch):
+        # strip 0, then the other kernel strips in order, on every pass
+        monkeypatch.setattr(importlib.import_module("stefan.energy"), "_VECTOR_N", 1)
+        self.test_one_strip_pass_per_iteration(monkeypatch)
 
     def test_certified_minimum_is_factored_once(self, monkeypatch):
         calls = []

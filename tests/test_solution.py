@@ -1,5 +1,6 @@
 """Profile assembly, evaluation, and residual validation."""
 import dataclasses
+import importlib
 import math
 import pickle
 import sys
@@ -20,7 +21,7 @@ from stefan import (
     stefan_residuals,
     validate,
 )
-from stefan import FreeBoundaries, kernel, solution
+from stefan import FreeBoundaries, kernel, optimize, solution
 
 from helpers import (
     assembled_pieces,
@@ -855,3 +856,30 @@ class TestInlineKernel:
             hand = solution.SelfSimilarSolution(SYM, sol.xi_star, tuple(pieces))
             with pytest.raises(ValueError, match="cdf: argument must not be NaN"):
                 validate(hand, 3)
+
+
+@pytest.mark.parametrize("n", [100, 200])
+def test_no_numpy_scalar_leaks_out_of_a_large_solve(n):
+    # n = 100 converges and n = 200 ends in the roundoff stall, both on
+    # the vector point; the stall has no fronts, so its pieces are
+    # assembled at its start
+    spec = random_convex_spec(np.random.default_rng(0), n)
+    assert n >= importlib.import_module("stefan.energy")._VECTOR_N
+    res = minimize(spec)
+    assert res.status is (SolveStatus.CONVERGED if n == 100 else SolveStatus.MAX_ITERATIONS)
+    numbers = [res.energy_value, res.grad_norm]
+    for record in res.trace:
+        assert type(record.iteration) is int
+        numbers += [record.energy, record.grad_norm]
+    if res.xi_star is None:
+        sol = assemble(spec, optimize._default_start(spec).fronts)
+    else:
+        sol = assemble(spec, res.xi_star)
+    numbers += list(sol.xi_star)
+    for piece in sol.pieces:
+        numbers += [getattr(piece, f.name) for f in dataclasses.fields(piece)]
+    report = validate(sol, 5)
+    numbers += [report.max_ode_residual, report.max_stefan_residual,
+                report.max_interface_jump]
+    assert type(report.samples) is int
+    assert all(type(v) is float for v in numbers), {type(v) for v in numbers}
