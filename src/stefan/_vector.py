@@ -2,14 +2,15 @@
 points with ``energy._VECTOR_N`` fronts or more.
 
 Every value is the scalar passes' bit for bit.  The scaled ends, the
-ordering test, log_gap's midpoint series (its test and polynomial), the
-energy terms, the pdf/gap exponents (log_pdf's expression), the
-gradient and both Hessian bands are array operations in the scalar
-code's operation order, and IEEE arithmetic rounds each one as Python
-does.  Each log, log1p and exp is still ``math``'s, applied value by
-value, since numpy's own differ from libm in the last bit on some
-arguments.  The strips that do not take the series go to
-``kernel.log_gap`` one by one, in strip order, as in the scalar pass.
+ordering test, log_gap's midpoint series (its test, and its polynomial
+through ``kernel._narrow_series``), the energy terms, the pdf/gap
+exponents (log_pdf's expression), the gradient and both Hessian bands
+are array operations in the scalar code's operation order, and IEEE
+arithmetic rounds each one as Python does.  Each log, log1p and exp is
+still ``math``'s, applied value by value, since numpy's own differ from
+libm in the last bit on some arguments.  The strips that do not take
+the series go to ``kernel.log_gap`` one by one, in strip order, as in
+the scalar pass.
 
 The first point this large imports this module and numpy with it, so
 ``import stefan`` and smaller problems never load them.
@@ -66,16 +67,11 @@ def strip_pass(spec, fronts):
         q = h * h
         series = (h <= _NARROW) & (q * w <= _NARROW_SQ)
         h, w, q = h[series], w[series], q[series]
-        poly = q * ((w - 2.0) / 96.0 + q * (
-            ((w - 12.0) * w + 12.0) / 30720.0 + q * (
-            (((w - 30.0) * w + 180.0) * w - 120.0) / 20643840.0 + q * (
-            ((((w - 56.0) * w + 840.0) * w - 3360.0) * w + 1680.0)
-            / 23781703680.0))))
         m = len(h)
         lg = np.empty(n + 1)
         lg[1:n][series] = (
             np.fromiter(map(_log, h.tolist()), float, m) + (-0.25 * w - _LOG_2_SQRT_PI)
-        ) + np.fromiter(map(_log1p, poly.tolist()), float, m)
+        ) + np.fromiter(map(_log1p, kernel._narrow_series(q, w).tolist()), float, m)
         lo_list, hi_list = ends.tolist()
         log_gap = kernel.log_gap
         for i in (0, *(np.flatnonzero(~series) + 1).tolist(), n):

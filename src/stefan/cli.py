@@ -27,8 +27,10 @@ leaves the rows it wrote followed by the rest of the previous file.
 
 Exit codes: 0 success (solve: Converged; check: coercive), 1 bad input,
 unwritable output, a Hessian that is not finite, an energy that
-overflows or an output value that is not finite (JSON has no Infinity
-or NaN, so the field is named on stderr instead), 2 check found a
+overflows, an OverflowError or ZeroDivisionError in assemble or
+validate at converged fronts (the layer is named on stderr) or an
+output value that is not finite (JSON has no Infinity or NaN, so the
+field is named on stderr instead), 2 check found a
 non-coercive problem, 3 solve Diverged, 4 solve stopped at the
 iteration limit.
 """
@@ -162,6 +164,17 @@ def _print_json(payload: dict) -> None:
     print(text)
 
 
+def _post_solve(layer, *args):
+    """layer(*args), for assemble or validate at converged fronts; an
+    OverflowError or ZeroDivisionError there, as fronts past |xi/a| of
+    about 53 give, becomes a ConfigError naming the layer, so the
+    command exits 1 with one line."""
+    try:
+        return layer(*args)
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise ConfigError(f"{layer.__name__} failed at the converged fronts: {exc}") from None
+
+
 def cmd_check(args) -> int:
     spec, _ = load_config(args.config)
     report = _report_dict(spec)
@@ -192,14 +205,11 @@ def cmd_solve(args) -> int:
         "wellposedness": _report_dict(spec),
     }
     if result.status is SolveStatus.CONVERGED:
-        report = validate(assemble(spec, result.xi_star), _VALIDATE_SAMPLES)
+        sol = _post_solve(assemble, spec, result.xi_star)
+        report = _post_solve(validate, sol, _VALIDATE_SAMPLES)
         payload["residuals"] = dataclasses.asdict(report)
     _print_json(payload)
     return _EXIT_BY_STATUS[result.status]
-
-
-def _fmt(v: float) -> str:
-    return repr(float(v))
 
 
 @contextlib.contextmanager
@@ -242,7 +252,7 @@ def cmd_profile(args) -> int:
     if result.status is not SolveStatus.CONVERGED:
         print(f"error: solve did not converge ({result.status.value})", file=sys.stderr)
         return _EXIT_BY_STATUS[result.status]
-    sol = assemble(spec, result.xi_star)
+    sol = _post_solve(assemble, spec, result.xi_star)
 
     sqrt_t = math.sqrt(args.t)
     xs = [args.x_min + i * step for i in range(args.samples - 1)] + [args.x_max]
@@ -253,11 +263,11 @@ def cmd_profile(args) -> int:
             fh.write("x,xi,u\n")
             for x in xs:
                 xi = x / sqrt_t
-                fh.write(f"{_fmt(x)},{_fmt(xi)},{_fmt(evaluate_profile(sol, xi))}\n")
+                fh.write(f"{x!r},{xi!r},{evaluate_profile(sol, xi)!r}\n")
         with _rewrite(fronts_path) as fh:
             fh.write("i,xi,x_at_t\n")
             for i, xi in enumerate(sol.xi_star, start=1):
-                fh.write(f"{i},{_fmt(xi)},{_fmt(xi * sqrt_t)}\n")
+                fh.write(f"{i},{xi!r},{xi * sqrt_t!r}\n")
     except OSError as exc:
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         return 1

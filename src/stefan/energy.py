@@ -371,11 +371,8 @@ class _Point:
         """(beta_minus, beta_plus, gamma) as laid out in HessianParts."""
         strips = []
         self._derive(strips)
-        return (
-            [s[0] for s in strips[1:]],
-            [s[1] for s in strips[:-1]],
-            [s[2] for s in strips],
-        )
+        beta_minus, beta_plus, gamma = zip(*strips)
+        return beta_minus[1:], beta_plus[:-1], gamma
 
     def bands(self):
         """Diagonal (length n) and off-diagonal (length n-1) of the Hessian."""
@@ -516,12 +513,7 @@ class HessianParts:
 
 
 def hessian_parts(spec: ProblemSpec, xi: Fronts) -> HessianParts:
-    beta_minus, beta_plus, gamma = _Point(spec, _fronts(spec, xi)).parts()
-    return HessianParts(
-        beta_minus=tuple(beta_minus),
-        beta_plus=tuple(beta_plus),
-        gamma=tuple(gamma),
-    )
+    return HessianParts(*_Point(spec, _fronts(spec, xi)).parts())
 
 
 def hessian(spec: ProblemSpec, xi: Fronts) -> np.ndarray:

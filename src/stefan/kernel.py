@@ -42,8 +42,11 @@ each place, and tests hold each equal to the call bit for bit:
 - log_pdf in ``energy._Point._derive``, the derivative pass, and in
   ``_vector.derivative_pass``, its numpy form;
 - log_gap's midpoint series in ``energy._Point.__init__``, the strip
-  pass, and in ``_vector.strip_pass``, its numpy form, each
-  with the narrow test and its constants _NARROW and _NARROW_SQ.
+  pass, with the narrow test and its constants _NARROW and _NARROW_SQ.
+
+``_vector.strip_pass``, the numpy strip pass, writes the narrow test out
+as well but takes the series sum from ``_narrow_series``, as log_gap
+does, on arrays.
 """
 
 from __future__ import annotations
@@ -68,6 +71,22 @@ _TAIL_SWITCH = 6.0
 # log_gap's midpoint series.
 _NARROW = 0.2
 _NARROW_SQ = _NARROW * _NARROW
+
+
+def _narrow_series(q, w):
+    """The sum in log_gap's midpoint series, for q = h^2 and w = m^2.
+
+    The k-th term is q^k He_2k(m/sqrt 2) / (8^k (2k+1)!), written as a
+    polynomial in w.  Only + - * / with float constants, so float64
+    arrays q and w give every element the value a float would, bit for
+    bit; ``_vector.strip_pass`` takes it so.
+    """
+    return q * ((w - 2.0) / 96.0 + q * (
+        ((w - 12.0) * w + 12.0) / 30720.0 + q * (
+        (((w - 30.0) * w + 180.0) * w - 120.0) / 20643840.0 + q * (
+        ((((w - 56.0) * w + 840.0) * w - 3360.0) * w + 1680.0)
+        / 23781703680.0))))
+
 
 # ---------------------------------------------------------------------------
 # log erfcx(z) = log(exp(z^2) erfc(z)) for z >= 3, where log_gap's log-tail
@@ -253,15 +272,9 @@ def log_gap(a: float, b: float) -> float:
         w = m * m
         q = h * h
         if q * w <= _NARROW_SQ:
-            # the k-th term is q^k He_2k(m/sqrt 2) / (8^k (2k+1)!), written
-            # as a polynomial in w = m^2
-            series = q * ((w - 2.0) / 96.0 + q * (
-                ((w - 12.0) * w + 12.0) / 30720.0 + q * (
-                (((w - 30.0) * w + 180.0) * w - 120.0) / 20643840.0 + q * (
-                ((((w - 56.0) * w + 840.0) * w - 3360.0) * w + 1680.0)
-                / 23781703680.0))))
             # the middle term is log_pdf(m)
-            return math.log(h) + (-0.25 * w - _LOG_2_SQRT_PI) + math.log1p(series)
+            return math.log(h) + (-0.25 * w - _LOG_2_SQRT_PI) + math.log1p(
+                _narrow_series(q, w))
     # Past the series a strip is wide, and each differenced gap below
     # keeps its sign.  In the tail (a >= 6) the log-tail step is
     # L(z_b) - L(z_a) - (z_b - z_a)(z_b + z_a) with z = x/2 and L the

@@ -776,6 +776,63 @@ class TestEnergyOverflow:
         assert "Traceback" not in proc.stderr
 
 
+class TestPostSolveOverflow:
+    """Coercive data whose converged front lies past |xi/a| of about 53,
+    where assemble's exp(-log gap) overflows: solve and profile exit 1
+    with one error line naming the layer, not a traceback."""
+
+    # minimize converges to xi* = -7.36, so xi/a = -73.6 on phase 0
+    CONFIG = {
+        "temperatures": [-1.0, 0.0, 1000.0],
+        "diffusivities": [0.1, 1.0],
+        "conductivities": [1e-6, 1.0],
+        "stefan_numbers": [0.0],
+    }
+
+    def _argvs(self, path, tmp_path):
+        return [["solve", path],
+                ["profile", path, "--t", "1", "--x-min", "-1", "--x-max", "1",
+                 "--samples", "3", "--out", str(tmp_path / "p.csv")]]
+
+    def test_solve_and_profile_exit_1(self, tmp_path, capsys):
+        path = write_config(tmp_path, self.CONFIG)
+        assert main(["check", path]) == 0
+        capsys.readouterr()
+        for argv in self._argvs(path, tmp_path):
+            assert main(argv) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == (
+                "error: assemble failed at the converged fronts: math range error\n")
+        assert not (tmp_path / "p.csv").exists()
+
+    def test_a_validate_error_names_validate(self, tmp_path, capsys, monkeypatch):
+        def validate(sol, samples_per_phase):
+            raise ZeroDivisionError("float division by zero")
+
+        monkeypatch.setattr(sys.modules["stefan.cli"], "validate", validate)
+        assert main(["solve", write_config(tmp_path, SYM_OK)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: validate failed at the converged fronts: float division by zero\n")
+
+    def test_processes_print_no_traceback(self, tmp_path):
+        env = dict(os.environ)
+        src = str(Path(stefan.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        path = write_config(tmp_path, self.CONFIG)
+        for argv in self._argvs(path, tmp_path):
+            proc = subprocess.run(
+                [sys.executable, "-m", "stefan", *argv],
+                env=env, capture_output=True, text=True, timeout=120,
+            )
+            assert proc.returncode == 1
+            assert proc.stderr.startswith("error: assemble failed")
+            assert proc.stderr.count("\n") == 1
+            assert "Traceback" not in proc.stderr
+
+
 def test_missing_subcommand_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main([])

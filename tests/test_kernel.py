@@ -12,9 +12,11 @@ import pytest
 
 from stefan.kernel import (
     _NARROW,
+    _NARROW_SQ,
     PDF_PEAK,
     _cdf_inverse,
     _log_erfcx,
+    _narrow_series,
     cdf,
     log_gap,
     log_pdf,
@@ -365,6 +367,29 @@ def test_log_gap_of_narrow_strips_against_mpmath():
         want = _log_gap_reference(a, b)
         assert abs(got - want) <= 16 * EPS * max(1.0, abs(want)), (a, b)
         assert log_gap(-b, -a).hex() == got.hex(), (a, b)
+
+
+def test_narrow_series_on_an_array_is_the_series_on_each_float():
+    # the numpy strip pass takes the series on arrays; each element must
+    # carry the bits of the float call.  Strips over the series region
+    # (h <= _NARROW, h^2 m^2 <= _NARROW_SQ) and past it, and strips whose
+    # h or h |m| are the doubles on both sides of _NARROW, as whose h^2 or
+    # h^2 m^2 land on both sides of _NARROW_SQ
+    rng = np.random.default_rng(33)
+    strips = NARROW_STRIPS + _strips_about(rng, 400, lambda u: 2.0 * u)
+    for m in (0.0, -0.5, 1.0, 3.0, -17.0, 40.0):
+        edge = _NARROW / max(1.0, abs(m))
+        for h in (math.nextafter(edge, 0.0), edge, math.nextafter(edge, INF)):
+            strips.append((m - 0.5 * h, m + 0.5 * h))
+    h = np.array([b - a for a, b in strips])
+    m = 0.5 * np.array([a + b for a, b in strips])
+    q, w = h * h, m * m
+    assert (q * w <= _NARROW_SQ).any() and (q * w > _NARROW_SQ).any()
+    assert (h <= _NARROW).any() and (h > _NARROW).any()
+    got = _narrow_series(q, w)
+    assert got.dtype == np.float64
+    for qi, wi, gi in zip(q.tolist(), w.tolist(), got.tolist()):
+        assert gi.hex() == _narrow_series(qi, wi).hex(), (qi, wi)
 
 
 def test_cdf_and_wide_central_log_gap_against_mpmath():
