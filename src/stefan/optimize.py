@@ -18,11 +18,13 @@ per damping trial, one O(n) pass over its two bands that makes the
 LDL^T pivots and forward-substitutes -g together, stops at the first
 pivot <= 0 and back-substitutes only a complete factorization: the
 pivots double as the positive-definiteness test of the damping
-schedule.  The same pivots certify a minimum: a point with a vanishing
-gradient is reported Converged only if they are all positive, and is
-otherwise left along a direction of nonpositive curvature.  Once the
-energy is flat at machine resolution, a short bounded run of Newton
-steps is accepted on a strict decrease of the gradient instead.
+schedule, which walks lam = 0, damping_min, 2 damping_min, ... up to
+the first usable trial (``newton_step``).  The same pivots certify a
+minimum: a point with a vanishing gradient is reported Converged only
+if they are all positive, and is otherwise left along a direction of
+nonpositive curvature.  Once the energy is flat at machine resolution,
+a short bounded run of Newton steps is accepted on a strict decrease
+of the gradient instead.
 
 The first undamped step of a solve is capped by the barrier it runs
 into.  Each strip's energy term -w log(gap) is a log barrier: with a
@@ -89,7 +91,8 @@ _FLAT_STEPS = 8
 
 
 class NewtonBreakdown(RuntimeError):
-    """Raised when the Hessian is not finite, so no damping can help."""
+    """Raised when the Hessian is not finite, so no damping can help, or
+    when the damping overflows before any trial is usable."""
 
 
 @dataclass(frozen=True)
@@ -202,22 +205,6 @@ def _factor_solve(diag, off, lam, g):
     return n, l, p
 
 
-def _doublings_past(x, damping_min):
-    """Least k >= 0 with damping_min * 2**k > x, by comparing frexp parts.
-
-    Capped at the k where damping_min * 2**k overflows, which is what
-    x = inf gives.
-    """
-    m_min, e_min = math.frexp(damping_min)
-    k_inf = 1025 - e_min
-    if not x >= damping_min:
-        return 0
-    if x == math.inf:
-        return k_inf
-    m, e = math.frexp(x)
-    return min(e - e_min + (m_min <= m), k_inf)
-
-
 def _damped_step(g, diag, off, damping_min):
     """Damped Newton direction from the Hessian bands, on the schedule of
     newton_step.
@@ -228,54 +215,31 @@ def _damped_step(g, diag, off, damping_min):
     every partial sum after it infinite or NaN; only when that sum is
     not finite (which finite bands give when it overflows) are the
     entries tested one by one.  lam = 0 is tried first, with one
-    factorization; the rest of the schedule is set up only when that
-    trial fails.  Rounding can push the pivots of T + lam*I below zero
-    even past the Gershgorin bound; the bisection never tries that
-    bound's own exponent, so the schedule then keeps doubling from it
-    until lam overflows.
+    factorization, and the Gershgorin bound is formed only when that
+    trial fails.  Every later lam doubles the one before, exactly, so
+    it is damping_min * 2**k.  Rounding can push the pivots of T + lam*I
+    below zero even past the bound, so the walk goes on until lam
+    overflows.
     """
     if not math.isfinite(sum(diag) + sum(off)) and not (
         all(map(math.isfinite, diag)) and all(map(math.isfinite, off))
     ):
         raise NewtonBreakdown("Hessian is not finite")
-    p = _factor_solve(diag, off, 0.0, g)[2]
-    if p is not None:
-        slope = math.fsum(map(operator.mul, g, p))
-        if slope < 0.0 or not any(g):  # lam = 0 is never past the bound
-            return p, 0.0, slope
-    n = len(diag)
-
-    def usable(k):
-        lam = math.ldexp(damping_min, k)
+    lam, bound = 0.0, math.inf  # lam = 0 is never past the bound
+    while lam < math.inf:
         p = _factor_solve(diag, off, lam, g)[2]
         if p is not None:
             slope = math.fsum(map(operator.mul, g, p))
             if slope < 0.0 or not any(g) or lam > bound:
                 return p, lam, slope
-        return None
-
-    shift = max(
-        (abs(off[i - 1]) if i > 0 else 0.0)
-        + (abs(off[i]) if i < n - 1 else 0.0)
-        - diag[i]
-        for i in range(n)
-    )
-    bound = max(shift, 0.0)
-    top = _doublings_past(bound, damping_min)
-    lo, hi, step = -1, top, None
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        found = usable(mid)
-        if found is None:
-            lo = mid
+        if lam:
+            lam *= 2.0
         else:
-            hi, step = mid, found
-    if step is not None:
-        return step
-    for k in range(top, _doublings_past(math.inf, damping_min)):
-        step = usable(k)
-        if step is not None:
-            return step
+            # the Gershgorin shift max_i(|off_{i-1}| + |off_i| - diag_i);
+            # every lam tried from here on is > 0, so also past a negative one
+            o = [0.0, *map(abs, off), 0.0]
+            bound = max(a + b - d for a, b, d in zip(o, o[1:], diag))
+            lam = float(damping_min)
     raise NewtonBreakdown("damping overflowed without a usable direction")
 
 
@@ -305,20 +269,24 @@ def newton_step(
     Solves (H + lam*I) p = -g on the two bands of the tridiagonal
     Hessian, one O(n) pass per trial lam that factors LDL^T and
     forward-substitutes together; a trial whose pivots are not all
-    positive ends at its first pivot <= 0, unsolved.  lam = 0 when the
-    Hessian is already positive definite and its direction descends.
-    Otherwise lam is the least damping_min * 2**k, k >= 0, whose pivots
+    positive ends at its first pivot <= 0, unsolved.  The trials walk
+    lam = 0, damping_min, 2*damping_min, ... (Nocedal & Wright,
+    Numerical Optimization, Alg. 3.3) and stop at the first whose pivots
     all come out positive and whose direction descends, or that lies
     past the Gershgorin bound max_i(|off_{i-1}| + |off_i| - diag_i),
     beyond which the damped matrix is positive definite and the
-    direction is returned as it is.  k is bisected between k = -1
-    (lam = 0) and the least k past that bound, so a step costs a few
-    factorizations however large lam gets; wherever usability is
-    monotone in lam this is the k that walking up from 0 finds.  The
-    direction satisfies g.p < 0 unless the gradient is zero (then
-    p = 0) or g.p rounds to zero past that bound.  Raises
-    NewtonBreakdown only when the Hessian is not finite.
+    direction is returned as it is.  So lam = 0, after one
+    factorization, when the Hessian is already positive definite and its
+    direction descends, and otherwise lam = damping_min * 2**k after
+    k + 2.  The direction satisfies g.p < 0 unless the gradient is
+    zero (then p = 0) or g.p rounds to zero past that bound.
+
+    Raises ValueError unless damping_min is positive and finite, by the
+    rule of ``SolveOptions``, and NewtonBreakdown when the Hessian is not
+    finite or, for bands near the float range, when lam overflows before
+    any trial is usable.
     """
+    SolveOptions(damping_min=damping_min)  # the same check as minimize's settings
     import numpy as np
 
     point = _Point(spec, _fronts(spec, xi))
@@ -514,7 +482,7 @@ def minimize(
             p, lam, slope = _damped_step(point.gradient(), *point.bands(), damping_min)
             first = iterations == 0 and lam == 0.0
             if slope >= 0.0:
-                # gradient is numerically zero; nothing to gain
+                # g.p rounded to >= 0 past the Gershgorin bound: no descent
                 status = SolveStatus.MAX_ITERATIONS
                 break
         else:

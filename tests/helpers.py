@@ -186,8 +186,9 @@ def damped_step(g, diag, off, damping_min):
 
     Returns (p, lam) at the first lam whose pivots are all positive and
     whose direction descends (or g = 0, or lam is past the Gershgorin
-    bound).  One LDL^T per value, so about log2(lam / damping_min)
-    factorizations; the solver bisects over the same schedule instead.
+    bound).  The solver walks the same schedule, but with its one-pass
+    factor-and-solve and its shortcut finiteness test; this copy
+    factors, then solves, and tests every entry.
     """
     n = len(diag)
     if not (all(map(math.isfinite, diag)) and all(map(math.isfinite, off))):

@@ -133,6 +133,14 @@ class TestNewtonStep:
         assert lam == 0.0
         assert p[0] < 0.0
 
+    @pytest.mark.parametrize("damping_min", [0.0, -1e-12, math.nan, math.inf])
+    def test_damping_min_must_be_positive_and_finite(self, damping_min):
+        # the rule of SolveOptions: 0 or a negative damping_min would never
+        # double past the first trial, NaN never compares, and inf damps
+        # every trial to p = 0
+        with pytest.raises(ValueError, match="^damping_min must be positive and finite$"):
+            newton_step(SINK, (0.0,), damping_min)
+
     def test_damps_indefinite_hessian(self):
         # margin is negative and the curvature at the origin is
         # 2/pi - 0.75 < 0, so undamped factorization must fail
@@ -238,20 +246,6 @@ def _same_step(got, want):
     )
 
 
-def _least_k_past_bound(diag, off, damping_min):
-    n = len(diag)
-    shift = max(
-        (abs(off[i - 1]) if i > 0 else 0.0)
-        + (abs(off[i]) if i < n - 1 else 0.0)
-        - diag[i]
-        for i in range(n)
-    )
-    k, lam = 0, damping_min
-    while not lam > shift:
-        k, lam = k + 1, 2.0 * lam
-    return k
-
-
 # (g, diag, off, damping_min): zero gradients, lambdas ending exactly
 # at, just past and just short of the Gershgorin bound, the wildly
 # indefinite case and other damping_min values
@@ -338,7 +332,7 @@ class TestFactorSolve:
 
 
 class TestDampingSchedule:
-    def test_bisection_matches_the_walk(self):
+    def test_random_bands_match_the_walk(self):
         rng = np.random.default_rng(71)
         lams = []
         for n in range(1, 51):
@@ -401,7 +395,7 @@ class TestDampingSchedule:
             assert calls == [0.0]
             assert got[1] == 0.0 and _same_step(got, want)
 
-    def test_factorizations_per_damped_step(self, monkeypatch):
+    def test_damped_step_tries_each_doubling_in_turn(self, monkeypatch):
         calls = []
         factor_solve = stefan.optimize._factor_solve
 
@@ -418,9 +412,10 @@ class TestDampingSchedule:
                 g = [float(v) for v in rng.normal(size=n)]
                 del calls[:]
                 _, lam = _checked_step(g, diag, off, 1e-12)
-                assert lam > 0.0
-                k_max = _least_k_past_bound(diag, off, 1e-12)
-                assert len(calls) <= math.ceil(math.log2(k_max + 1)) + 2
+                k = math.frexp(lam)[1] - math.frexp(1e-12)[1]
+                assert lam == math.ldexp(1e-12, k) and k >= 0
+                # lam = 0, then damping_min doubled exactly up to lam
+                assert calls == [0.0] + [math.ldexp(1e-12, j) for j in range(k + 1)]
 
 
 class TestMinimize:
@@ -726,6 +721,29 @@ class TestMinimize:
         # the point after the step is convex there, and within grad_tol
         assert res.status is SolveStatus.CONVERGED
         assert res.iterations == 1
+
+    def test_damped_direction_that_does_not_descend_ends_max_iterations(
+        self, monkeypatch
+    ):
+        # past the Gershgorin bound g.p can round to >= 0; the solve stops
+        # where it is, after the one step it took, although this p (the
+        # true step, its slope replaced by 0) would be accepted by a search
+        want = minimize(THREE, SolveOptions(max_iter=1))
+        damped = stefan.optimize._damped_step
+        lams = []
+
+        def level_second(g, diag, off, damping_min):
+            step = damped(g, diag, off, damping_min)
+            lams.append(step[1])
+            return step if len(lams) == 1 else (step[0], step[1], 0.0)
+
+        monkeypatch.setattr(stefan.optimize, "_damped_step", level_second)
+        res = minimize(THREE)
+        assert len(lams) == 2
+        assert res.status is SolveStatus.MAX_ITERATIONS
+        assert res.xi_star is None and res.iterations == 1
+        assert res.energy_value == want.energy_value and res.grad_norm == want.grad_norm
+        assert res.trace == want.trace and len(res.trace) == 2
 
     def test_roundoff_stall_ends_max_iterations(self):
         # At n = 200 no trial is accepted once max|g| is near 2e-12: the
