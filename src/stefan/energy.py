@@ -404,46 +404,27 @@ class WellPosednessReport:
 
 
 def _running_fsums(terms: Sequence[float], suffixes: bool = False) -> list:
-    """math.fsum of every prefix terms[:j+1] (or suffix terms[j:]), in one pass.
+    """math.fsum of every prefix terms[:j+1] (or suffix terms[j:]).
 
-    Carries Shewchuk's nonoverlapping partials from one sum to the next,
-    the same ones math.fsum builds, and rounds each sum by an fsum of the
-    few partials: both give the correctly rounded sum.  Terms whose
-    magnitudes add up to 2**1022 or more (or are not finite) could
-    overflow in one summation order and not in another, so each of their
-    sums goes to math.fsum itself, in the original order, for its own
-    result or exception.
+    Each sum is an fsum of its own, in the original order, so each is
+    correctly rounded, and one whose terms overflow raises fsum's
+    OverflowError.  That is n fsums over n(n+1)/2 terms in all, taken
+    once per spec, since ``check_wellposedness`` keeps its report.
     """
-    n = len(terms)
-    if not sum(map(abs, terms)) < 2.0 ** 1022:
-        return [math.fsum(terms[j:] if suffixes else terms[:j + 1]) for j in range(n)]
     fsum = math.fsum
-    partials: list = []
-    out = []
-    for j in (range(n - 1, -1, -1) if suffixes else range(n)):
-        x = terms[j]
-        i = 0
-        for y in partials:
-            # Knuth's two-sum: hi + lo == x + y exactly, in either order
-            hi = x + y
-            b = hi - x
-            lo = (x - (hi - b)) + (y - b)
-            if lo:
-                partials[i] = lo
-                i += 1
-            x = hi
-        partials[i:] = [x]
-        out.append(fsum(partials))
-    return out[::-1] if suffixes else out
+    return [fsum(terms[j:] if suffixes else terms[:j + 1]) for j in range(len(terms))]
 
 
 def check_wellposedness(spec: ProblemSpec) -> WellPosednessReport:
     """The exact criteria; EnergyOverflow if a sum passes the largest double.
 
-    The report is computed once per spec and kept on it as ``_report``,
-    outside the dataclass fields, as ``_strip_weights`` is, so eq, hash,
-    repr, replace and asdict ignore it; it is frozen, so every caller can
-    share it.  EnergyOverflow is raised again on every call.
+    Each entry of S_upper and S_lower is a math.fsum of its own prefix
+    or suffix of the terms, so it is correctly rounded, at n(n+1)/2
+    additions per list.  The report is computed once per spec and kept
+    on it as ``_report``, outside the dataclass fields, as
+    ``_strip_weights`` is, so eq, hash, repr, replace and asdict ignore
+    it; it is frozen, so every caller can share it.  EnergyOverflow is
+    raised again on every call.
     """
     try:
         return spec._report

@@ -29,16 +29,14 @@ log_pdf(midpoint) plus the log1p of a short series in the width.  Plus
 and minus infinity are legal inputs everywhere and map to the exact
 limit values.  All functions are pure and reentrant.
 
-cdf, pdf, log_pdf and log_gap's midpoint series are also written
-inline, the same expression operation for operation, where a Python
-call per value would dominate; a change to one of them must be made in
-each place, and tests hold each equal to the call bit for bit:
+cdf, log_pdf and log_gap's midpoint series are also written inline,
+the same expression operation for operation, where a Python call per
+value would dominate; a change to one of them must be made in each
+place, and tests hold each equal to the call bit for bit.  These are
+every copy:
 
-- cdf in ``solution.evaluate_profile`` (the profile lookup),
-  ``solution.assemble`` (each piece's cdf_lo and cdf_hi) and
-  ``solution.validate`` (the interface-jump loop);
-- cdf and pdf in ``solution._flux_balances``, the literal flux
-  balances, which takes cdf(s) and cdf(-s) from one erfc(|s|/2);
+- cdf in ``solution.evaluate_profile``, the profile lookup of each
+  sample;
 - log_pdf in ``energy._Point._derive``, the derivative pass, and in
   ``_vector.derivative_pass``, its numpy form;
 - log_gap's midpoint series in ``energy._Point.__init__``, the strip

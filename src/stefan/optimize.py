@@ -542,11 +542,16 @@ def single_front_bisection(
 
     Deliberately independent of the Newton machinery: evaluates the
     literal balance behind ``stefan_residuals`` (plain cdf/pdf quotients,
-    upper tails differenced) and halves the bracket until it is narrower
-    than tol.
+    upper tails differenced) and halves the bracket until it is no wider
+    than tol, or until its midpoint rounds to one of its ends, that is,
+    the ends are adjacent floats.  So tol = 0 asks for adjacent floats,
+    and a tol below the spacing of the floats near the root still ends.
+    A NaN or negative tol raises ValueError.
     """
     if spec.n != 1:
         raise ValueError("bisection reference handles exactly one interface")
+    if not tol >= 0.0:
+        raise ValueError("tol must be a nonnegative number")
 
     def balance(t: float) -> float:
         return _flux_balances(spec, (t,))[0]
@@ -564,6 +569,8 @@ def single_front_bisection(
         raise ValueError("bracket does not straddle a sign change")
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            return mid
         f_mid = balance(mid)
         if f_mid == 0.0:
             return mid

@@ -108,18 +108,9 @@ def assemble(spec: ProblemSpec, xi_star: Fronts) -> SelfSimilarSolution:
     if point is None or point.spec is not spec:
         point = _Point(spec, _fronts(spec, xi_star))
     u = spec.u
-    exp = math.exp
-    # cdf of each scaled end is kernel.cdf's expression, inlined; the ends
-    # are never NaN, and erfc's limits at +-inf give cdf's
+    cdf, exp = kernel.cdf, math.exp
     pieces = tuple([
-        Piece(
-            a,
-            u_lo,
-            u_hi,
-            0.5 * erfc(-0.5 * lo) if lo <= 0.0 else 1.0 - 0.5 * erfc(0.5 * lo),
-            0.5 * erfc(-0.5 * hi) if hi <= 0.0 else 1.0 - 0.5 * erfc(0.5 * hi),
-            (u_hi - u_lo) * exp(-lg),
-        )
+        Piece(a, u_lo, u_hi, cdf(lo), cdf(hi), (u_hi - u_lo) * exp(-lg))
         for a, u_lo, u_hi, lo, hi, lg in zip(
             spec.a, u, u[1:], point.lo, point.hi, point.lg
         )
@@ -224,45 +215,29 @@ def evaluate_spacetime(sol: SelfSimilarSolution, t: float, x: float) -> float:
 def _flux_balances(spec: ProblemSpec, fronts: Tuple[float, ...]) -> list:
     """The literal flux balances behind ``stefan_residuals``, as a list.
 
-    One loop over the strips.  Strip i spans lo = x_lo/a to hi = x_hi/a
-    and feeds k du pdf(end) / (a gap) into the balance at each of its
-    fronts, with gap = cdf(hi) - cdf(lo), differenced as the upper tails
+    Strip i spans lo = x_lo/a to hi = x_hi/a and feeds
+    k du pdf(end) / (a gap) into the balance at each of its fronts, with
+    gap = cdf(hi) - cdf(lo), differenced as the upper tails
     cdf(-lo) - cdf(-hi) when lo >= 0, whose terms keep their precision
-    where cdf(lo) and cdf(hi) both round to 1.  The kernel is written
-    inline, operation for operation: an end s gives h = erfc(|s|/2)/2,
-    which is cdf(s) for s <= 0 and cdf(-s) for s >= 0, the other side
-    being 1 - h (both h at s = +-0, where 1 - h = h = 1/2), and pdf(s) is
-    ``kernel.pdf``'s expression, 0 at +-inf.  A NaN front raises cdf's
-    error before any strip is taken, as the kernel calls did.
+    where cdf(lo) and cdf(hi) both round to 1.  Every gap is taken
+    before any balance, so a NaN front raises cdf's error before a zero
+    gap can raise ZeroDivisionError.
     """
-    if any(x != x for x in fronts):
-        raise ValueError("cdf: argument must not be NaN")
-    u, k, d = spec.u, spec.k, spec.d
-    exp = math.exp
-    peak = kernel.PDF_PEAK
-    n = len(fronts)
-    out = []
-    x_lo = -math.inf
+    u, k = spec.u, spec.k
+    cdf, pdf = kernel.cdf, kernel.pdf
+    ends = (-math.inf, *fronts, math.inf)
+    strips = []  # (k du, a gap, lo, hi) per strip
     for i, a in enumerate(spec.a):
-        x_hi = fronts[i] if i < n else math.inf
-        lo = x_lo / a
-        hi = x_hi / a
-        h_lo = 0.5 * erfc(0.5 * abs(lo))
-        h_hi = 0.5 * erfc(0.5 * abs(hi))
-        if lo >= 0.0:
-            gap = h_lo - (h_hi if hi >= 0.0 else 1.0 - h_hi)
-        else:
-            gap = (h_hi if hi <= 0.0 else 1.0 - h_hi) - h_lo
-        w = k[i] * (u[i + 1] - u[i])
-        wa = a * gap
-        if i:
-            # front i-1 is this strip's lower end: finish its balance
-            inflow = w * (peak * exp(-0.25 * lo * lo)) / wa
-            out.append(0.5 * d[i - 1] * x_lo + inflow - outflow)
-        if i < n:
-            outflow = w * (peak * exp(-0.25 * hi * hi)) / wa
-        x_lo = x_hi
-    return out
+        lo, hi = ends[i] / a, ends[i + 1] / a
+        gap = cdf(-lo) - cdf(-hi) if lo >= 0.0 else cdf(hi) - cdf(lo)
+        strips.append((k[i] * (u[i + 1] - u[i]), a * gap, lo, hi))
+    # front j is the upper end of strip j and the lower end of strip j+1
+    return [
+        0.5 * d * x + w * pdf(lo) / wa - w_left * pdf(hi) / wa_left
+        for d, x, (w_left, wa_left, _, hi), (w, wa, lo, _) in zip(
+            spec.d, fronts, strips, strips[1:]
+        )
+    ]
 
 
 def stefan_residuals(spec: ProblemSpec, xi: Fronts) -> np.ndarray:
@@ -400,6 +375,12 @@ def _ode_bound(sol: SelfSimilarSolution) -> float:
     return worst
 
 
+def _nan_max(values: list) -> float:
+    """The largest value, or NaN if any is NaN, as in numpy.max; Python's
+    max alone would depend on the NaN's position."""
+    return math.nan if any(map(math.isnan, values)) else max(values)
+
+
 def validate(sol: SelfSimilarSolution, samples_per_phase: int) -> ResidualReport:
     """Residuals of the assembled profile against the governing equations.
 
@@ -430,41 +411,16 @@ def validate(sol: SelfSimilarSolution, samples_per_phase: int) -> ResidualReport
     n = len(fronts)
     max_ode = _ode_bound(sol)
 
-    # cdf(front/a) of each piece next to a front, inlined as in
-    # evaluate_profile; a jump that is NaN wins, as in numpy.max
-    pieces, u = sol.pieces, spec.u
-    max_jump = 0.0
-    for j in range(n):
-        left, right = pieces[j], pieces[j + 1]
-        x = fronts[j]
-        target = u[j + 1]
-        z = 0.5 * (x / left.a)
-        if z <= 0.0:
-            c = 0.5 * erfc(-z)
-        elif z > 0.0:
-            c = 1.0 - 0.5 * erfc(z)
-        else:
-            raise ValueError("cdf: argument must not be NaN")
-        jump = abs(left.u_hi + left.scale * (c - left.cdf_hi) - target)
-        if jump > max_jump or jump != jump:
-            max_jump = jump
-        z = 0.5 * (x / right.a)
-        if z <= 0.0:
-            c = 0.5 * erfc(-z)
-        elif z > 0.0:
-            c = 1.0 - 0.5 * erfc(z)
-        else:
-            raise ValueError("cdf: argument must not be NaN")
-        jump = abs(right.u_lo + right.scale * (c - right.cdf_lo) - target)
-        if jump > max_jump or jump != jump:
-            max_jump = jump
-
+    pieces, u, cdf = sol.pieces, spec.u, kernel.cdf
+    jumps = []
+    for j, x in enumerate(fronts):
+        left, right, target = pieces[j], pieces[j + 1], u[j + 1]
+        jumps.append(abs(left.u_hi + left.scale * (cdf(x / left.a) - left.cdf_hi) - target))
+        jumps.append(abs(right.u_lo + right.scale * (cdf(x / right.a) - right.cdf_lo) - target))
     flux = [abs(r) for r in _flux_balances(spec, fronts)]
-    # NaN wins, as in numpy.max; Python's max would depend on its position
-    max_stefan = math.nan if any(map(math.isnan, flux)) else max(flux)
     return ResidualReport(
         max_ode_residual=max_ode,
-        max_stefan_residual=max_stefan,
-        max_interface_jump=max_jump,
+        max_stefan_residual=_nan_max(flux),
+        max_interface_jump=_nan_max(jumps),
         samples=int(samples_per_phase) * (n + 1),
     )

@@ -9,7 +9,7 @@ gradients as black boxes, MultiPassPoint spells out the energy and
 its derivatives one formula per pass, ldl_newton factors first and
 solves afterwards, and the post-solve oracles (assembled_pieces,
 flux_balances, interface_jump) take cdf and pdf from ``kernel`` one call
-per value where the library writes them inline.  takes_series restates
+per value, written apart from the library's loops.  takes_series restates
 log_gap's narrow-strip test, so tests can tell which strips a point
 takes by the inline series, and count_points counts strip passes.
 """

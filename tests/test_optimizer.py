@@ -2,6 +2,7 @@
 import dataclasses
 import importlib
 import math
+import signal
 
 import numpy as np
 import pytest
@@ -973,6 +974,52 @@ class TestBisection:
     def test_rejects_multifront_spec(self):
         with pytest.raises(ValueError):
             single_front_bisection(THREE, (-1.0, 1.0))
+
+    @staticmethod
+    def within(seconds, fn):
+        """fn(), or an AssertionError once it has run for seconds."""
+        def stalled(signum, frame):
+            raise AssertionError(f"no return within {seconds} s")
+
+        old = signal.signal(signal.SIGALRM, stalled)
+        signal.alarm(seconds)
+        try:
+            return fn()
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, old)
+
+    @staticmethod
+    def assert_at_sign_change(spec, root):
+        """root's balance is 0, or a float next to root has the other sign."""
+        f = [stefan_residuals(spec, (x,))[0] for x in
+             (math.nextafter(root, -math.inf), root, math.nextafter(root, math.inf))]
+        assert f[1] == 0.0 or (f[1] < 0.0) != (f[0] < 0.0) or (f[1] < 0.0) != (f[2] < 0.0), f
+
+    # one ulp at its root, -13458.004, is 1.8e-12, more than the default
+    # tol of 1e-12, so the width test alone never ends
+    WIDE_ULP = ProblemSpec(u=(-1.0, 0.0, 2.0), a=(1e4, 7e3), k=(1.0, 3.0), d=(1e-16,))
+
+    def test_ends_where_floats_are_farther_apart_than_tol(self):
+        spec = self.WIDE_ULP
+        root = self.within(5, lambda: single_front_bisection(spec, (-20000.0, -10000.0)))
+        assert root == pytest.approx(-13458.004220736446, abs=1e-11)
+        self.assert_at_sign_change(spec, root)
+
+    @pytest.mark.parametrize("spec, bracket", [
+        (ASYM, (-5.0, 5.0)),
+        (ASYM, (-5.0, 40.0)),
+        (WIDE_ULP, (-20000.0, -10000.0)),
+    ])
+    def test_zero_tol_ends_at_adjacent_floats(self, spec, bracket):
+        root = self.within(5, lambda: single_front_bisection(spec, bracket, tol=0.0))
+        assert bracket[0] < root < bracket[1]
+        self.assert_at_sign_change(spec, root)
+
+    @pytest.mark.parametrize("tol", [math.nan, -1e-12, -math.inf])
+    def test_rejects_nan_or_negative_tol(self, tol):
+        with pytest.raises(ValueError, match="tol must be a nonnegative number"):
+            self.within(5, lambda: single_front_bisection(ASYM, (-5.0, 5.0), tol=tol))
 
 
 class TestGridSearch:

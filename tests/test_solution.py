@@ -770,8 +770,9 @@ def _outcome(fn):
 
 
 class TestInlineKernel:
-    """assemble, _flux_balances and validate's jump loop write cdf and pdf
-    inline; each must give the bits of the kernel calls it replaces."""
+    """assemble, _flux_balances and validate's jump loop call cdf and pdf
+    once per value; each must give the bits of the oracles' kernel calls,
+    in the oracles' order of operations and of errors."""
 
     @pytest.mark.parametrize("a, fronts", _INLINE_CASES)
     def test_assemble_pieces_are_the_kernel_calls(self, a, fronts):
@@ -847,6 +848,14 @@ class TestInlineKernel:
                    lambda: flux_balances(spec, fronts)):
             with pytest.raises(ValueError, match="cdf: argument must not be NaN"):
                 fn()
+
+    def test_a_nan_front_is_rejected_before_a_zero_gap_divides(self):
+        # strip 1 runs from 80 to 90, whose cdf gap is exactly 0
+        spec = _inline_spec((1.0, 1.0, 1.0, 1.0))
+        fronts = (80.0, 90.0, math.nan)
+        for fn in (solution._flux_balances, flux_balances):
+            with pytest.raises(ValueError, match="cdf: argument must not be NaN"):
+                fn(spec, fronts)
 
     def test_a_nan_piece_diffusivity_is_rejected_by_cdf(self):
         sol = assemble(SYM, (0.2,))
