@@ -5,12 +5,12 @@ Every value is the scalar passes' bit for bit.  The scaled ends, the
 ordering test, log_gap's midpoint series (its test, and its polynomial
 through ``kernel._narrow_series``), the energy terms, the pdf/gap
 exponents (log_pdf's expression), the gradient and both Hessian bands
-are array operations in the scalar code's operation order, and IEEE
-arithmetic rounds each one as Python does.  Each log, log1p and exp is
-still ``math``'s, applied value by value, since numpy's own differ from
-libm in the last bit on some arguments.  The strips that do not take
-the series go to ``kernel.log_gap`` one by one, in strip order, as in
-the scalar pass.
+are array operations in the operation order of the scalar code and, for
+the series, of ``kernel.log_gap``, which the scalar pass calls on every
+strip; IEEE arithmetic rounds each one as Python does.  Each log, log1p
+and exp is still ``math``'s, applied value by value, since numpy's own
+differ from libm in the last bit on some arguments.  The strips that do
+not take the series go to ``kernel.log_gap`` one by one, in strip order.
 
 The first point this large imports this module and numpy with it, so
 ``import stefan`` and smaller problems never load them.

@@ -37,9 +37,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Sequence, Tuple, Union
 
 from . import kernel
-from .kernel import _LOG_2_SQRT_PI, _NARROW, _NARROW_SQ
-
-_log, _log1p = math.log, math.log1p
 
 if TYPE_CHECKING:
     import numpy as np
@@ -187,8 +184,9 @@ Fronts = Union[FreeBoundaries, Sequence[float]]
 
 # Points with this many fronts or more take their strip and derivative
 # passes as array arithmetic (the ``_vector`` module), fewer the scalar
-# loops, which are faster there; the crossover is measured in
-# BENCH_vector_point.json.
+# loops, which are faster there.  BENCH_vector_point.json measured the
+# crossover while the scalar strip pass still wrote log_gap's midpoint
+# series inline, not calling log_gap on the strips that took it.
 _VECTOR_N = 88
 
 
@@ -207,15 +205,12 @@ class _Point:
     (strip i spans xi_i/a_i to xi_{i+1}/a_i), checks that they are
     strictly ordered, takes the strip's log gap and forms the energy
     term; the terms are summed with ``math.fsum``, which raises
-    EnergyOverflow when finite terms sum past the largest double.  A
-    narrow strip that ``kernel.log_gap`` would take by its midpoint
-    series takes that series inline, ``log_gap``'s own expression in
-    its operation order, so the bits are log_gap's; every other strip,
-    the two infinite ones included, calls ``kernel.log_gap``.  The
-    ordering test is the whole feasibility test: it fails on fronts that
-    are not finite, not strictly increasing, or distinct but rounded to
-    one scaled value far out, and raises InfeasiblePoint before that
-    strip's log gap.
+    EnergyOverflow when finite terms sum past the largest double.  Each
+    strip, the two infinite ones included, takes its log gap from one
+    ``kernel.log_gap`` call.  The ordering test is the whole feasibility
+    test: it fails on fronts that are not finite, not strictly
+    increasing, or distinct but rounded to one scaled value far out, and
+    raises InfeasiblePoint before that strip's log gap.
 
     The first call to ``gradient``, ``grad_norm`` or ``bands`` makes the
     second pass, which forms each strip's pdf/gap ratios and from them
@@ -262,26 +257,7 @@ class _Point:
                 t = hi[i] = x / a[i]
                 if not b < t:
                     raise InfeasiblePoint(f"xi: strip {i} is empty once scaled")
-                # log_gap's midpoint series, inlined.  log_gap first mirrors a
-                # strip with t <= 0 onto (-t, -b); negation is exact and
-                # round-to-nearest is symmetric, so that changes neither h
-                # nor m*m, and the series needs no mirror here.
-                h = t - b
-                if h <= _NARROW:
-                    w = 0.5 * (b + t)
-                    w *= w
-                    q = h * h
-                    if q * w <= _NARROW_SQ:
-                        g = lg[i] = _log(h) + (-0.25 * w - _LOG_2_SQRT_PI) + _log1p(
-                            q * ((w - 2.0) / 96.0 + q * (
-                                ((w - 12.0) * w + 12.0) / 30720.0 + q * (
-                                (((w - 30.0) * w + 180.0) * w - 120.0) / 20643840.0 + q * (
-                                ((((w - 56.0) * w + 840.0) * w - 3360.0) * w + 1680.0)
-                                / 23781703680.0)))))
-                    else:
-                        g = lg[i] = log_gap(b, t)
-                else:
-                    g = lg[i] = log_gap(b, t)
+                g = lg[i] = log_gap(b, t)
                 terms[i] = -(energy_w[i] * g)
                 terms[n + 1 + i] = 0.25 * d[i] * x * x
                 b = lo[i + 1] = x / a[i + 1]

@@ -29,22 +29,21 @@ log_pdf(midpoint) plus the log1p of a short series in the width.  Plus
 and minus infinity are legal inputs everywhere and map to the exact
 limit values.  All functions are pure and reentrant.
 
-cdf, log_pdf and log_gap's midpoint series are also written inline,
-the same expression operation for operation, where a Python call per
-value would dominate; a change to one of them must be made in each
-place, and tests hold each equal to the call bit for bit.  These are
-every copy:
+cdf and log_pdf are also written inline, the same expression operation
+for operation, where a Python call per value would dominate; a change to
+one of them must be made in each place, and tests hold each equal to
+the call bit for bit.  These are every copy:
 
 - cdf in ``solution.evaluate_profile``, the profile lookup of each
   sample;
 - log_pdf in ``energy._Point._derive``, the derivative pass, and in
-  ``_vector.derivative_pass``, its numpy form;
-- log_gap's midpoint series in ``energy._Point.__init__``, the strip
-  pass, with the narrow test and its constants _NARROW and _NARROW_SQ.
+  ``_vector.derivative_pass``, its numpy form.
 
-``_vector.strip_pass``, the numpy strip pass, writes the narrow test out
-as well but takes the series sum from ``_narrow_series``, as log_gap
-does, on arrays.
+log_gap's midpoint series has one copy, in ``_vector.strip_pass``, the
+numpy strip pass: it writes the narrow test, with _NARROW and
+_NARROW_SQ, and the series' log form out on arrays, but takes the sum
+from ``_narrow_series``, as log_gap does.  The scalar strip pass calls
+log_gap on every strip.
 """
 
 from __future__ import annotations

@@ -547,6 +547,11 @@ def single_front_bisection(
     the ends are adjacent floats.  So tol = 0 asks for adjacent floats,
     and a tol below the spacing of the floats near the root still ends.
     A NaN or negative tol raises ValueError.
+
+    Both ends are evaluated first.  An end where a strip's cdf gap
+    underflows to 0, which happens past about |t/a| = 54, raises
+    ValueError naming that end.  With one front each gap is monotone in
+    t, so once both ends evaluate, every midpoint does.
     """
     if spec.n != 1:
         raise ValueError("bisection reference handles exactly one interface")
@@ -556,11 +561,18 @@ def single_front_bisection(
     def balance(t: float) -> float:
         return _flux_balances(spec, (t,))[0]
 
+    def at_end(t: float, end: str) -> float:
+        try:
+            return balance(t)
+        except ZeroDivisionError:
+            raise ValueError(f"bracket's {end} end {t!r}: a strip's cdf gap "
+                             "underflows to 0 there") from None
+
     lo, hi = float(bracket[0]), float(bracket[1])
     if not lo < hi:
         raise ValueError("bracket must be ordered")
-    f_lo = balance(lo)
-    f_hi = balance(hi)
+    f_lo = at_end(lo, "lower")
+    f_hi = at_end(hi, "upper")
     if f_lo == 0.0:
         return lo
     if f_hi == 0.0:

@@ -10,8 +10,9 @@ its derivatives one formula per pass, ldl_newton factors first and
 solves afterwards, and the post-solve oracles (assembled_pieces,
 flux_balances, interface_jump) take cdf and pdf from ``kernel`` one call
 per value, written apart from the library's loops.  takes_series restates
-log_gap's narrow-strip test, so tests can tell which strips a point
-takes by the inline series, and count_points counts strip passes.
+log_gap's narrow-strip test, so tests can tell which strips the vector
+strip pass takes by its array series, and count_points counts strip
+passes.
 """
 import math
 

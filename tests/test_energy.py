@@ -691,12 +691,16 @@ def test_series_cases_sit_where_they_say():
         assert takes_series(*_SERIES_CASES[name])
 
 
-@pytest.mark.parametrize("lo, hi", [
-    pytest.param(lo, hi, id=name) for name, (lo, hi) in _SERIES_CASES.items()
+@pytest.mark.parametrize("lo, hi, path", [
+    pytest.param(lo, hi, path, id=name if path == "scalar" else f"vector-{name}")
+    for path in ("scalar", "vector") for name, (lo, hi) in _SERIES_CASES.items()
 ])
-def test_inline_series_is_log_gap(lo, hi, monkeypatch):
-    # the point takes strip 1 by the inline series where log_gap would, and
-    # by log_gap itself elsewhere; either way it holds log_gap's bits
+def test_inline_series_is_log_gap(lo, hi, path, monkeypatch):
+    # the scalar point takes every strip by one log_gap call; the vector
+    # point takes strip 1 by its array series where log_gap would take the
+    # midpoint series, and by log_gap itself elsewhere; either way it holds
+    # log_gap's bits
+    monkeypatch.setattr(ENERGY, "_VECTOR_N", 1 if path == "vector" else math.inf)
     want = [kernel.log_gap(b, t) for b, t in ((-math.inf, lo), (lo, hi), (hi, math.inf))]
     calls = []
     real = kernel.log_gap
@@ -709,7 +713,7 @@ def test_inline_series_is_log_gap(lo, hi, monkeypatch):
     point = _Point(_UNIT, [lo, hi])
     assert (point.lo[1], point.hi[1]) == (lo, hi)
     assert _bits(point.lg) == _bits(want)
-    middle = [] if takes_series(lo, hi) else [(lo, hi)]
+    middle = [] if path == "vector" and takes_series(lo, hi) else [(lo, hi)]
     assert calls == [(-math.inf, lo)] + middle + [(hi, math.inf)]
 
 
@@ -741,10 +745,11 @@ def test_inline_series_is_log_gap_on_drawn_points(seed, n, family, shrink, shift
 
 @pytest.mark.parametrize("n", [1, 3, 50])
 def test_a_point_takes_one_log_gap_per_strip_and_one_derivative_pass(n, monkeypatch):
-    # A point takes each strip's log gap once: inline when log_gap would
-    # take its midpoint series, else by one kernel.log_gap call on that
-    # strip.  The fronts are also shrunk toward 0, which makes strips
-    # narrow enough for the series.
+    # A point takes each strip's log gap once: the scalar point by one
+    # kernel.log_gap call per strip, the vector point by its array series
+    # where log_gap would take the midpoint series, else by one log_gap
+    # call on that strip.  The fronts are also shrunk toward 0, which makes
+    # strips narrow enough for the series.
     calls = {"log_gap": [], "log_pdf": 0, "pdf": 0, "_derive": 0}
     real_log_gap = kernel.log_gap
 
@@ -768,12 +773,14 @@ def test_a_point_takes_one_log_gap_per_strip_and_one_derivative_pass(n, monkeypa
     rng = np.random.default_rng(n)
     spec, fronts = random_convex_spec(rng, n), random_fronts(rng, n)
     built = count_points(monkeypatch)
+    vector = n >= ENERGY._VECTOR_N
     series = 0
     for shrink in (1.0, 0.25, 0.05):
         xi = [shrink * v for v in fronts]
         lo, hi, lg = strips(spec.a, xi)
-        kernel_strips = [(b, t) for b, t in zip(lo, hi) if not takes_series(b, t)]
-        series += n + 1 - len(kernel_strips)
+        series += sum(takes_series(b, t) for b, t in zip(lo, hi))
+        kernel_strips = [(b, t) for b, t in zip(lo, hi)
+                         if not (vector and takes_series(b, t))]
         calls.update(log_gap=[], _derive=0)
         del built[:]
         point = _Point(spec, xi)

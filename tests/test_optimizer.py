@@ -2,6 +2,7 @@
 import dataclasses
 import importlib
 import math
+import re
 import signal
 
 import numpy as np
@@ -657,13 +658,15 @@ class TestMinimize:
         assert res.status is SolveStatus.CONVERGED
         assert res.iterations >= 5
         assert len(built) <= 2 * res.iterations
-        # each pass calls log_gap once per strip outside the midpoint series
+        # each pass calls log_gap once per strip, but for the strips that
+        # the vector pass takes by its array series
+        vector = n >= importlib.import_module("stefan.energy")._VECTOR_N
         got, want = list(calls), []
         for xi in built:
             lo, hi, _ = strips(spec.a, xi)
-            want += [(b, t) for b, t in zip(lo, hi) if not takes_series(b, t)]
+            want += [(b, t) for b, t in zip(lo, hi) if not (vector and takes_series(b, t))]
         assert got == want
-        assert len(got) < (n + 1) * len(built)
+        assert (len(got) < (n + 1) * len(built)) is vector
 
     def test_one_strip_pass_per_iteration_on_the_vector_point(self, monkeypatch):
         # strip 0, then the other kernel strips in order, on every pass
@@ -963,9 +966,11 @@ class TestBisection:
 
     def test_far_bracket(self):
         # the balance differences upper tails, so a bracket reaching
-        # t/a = 40 gives the same root
+        # t/a = 40 gives the same root; one reaching 50, short of where a
+        # gap underflows, keeps its root's bits
         root = single_front_bisection(ASYM, (-5.0, 40.0))
         assert abs(root - single_front_bisection(ASYM, (-5.0, 5.0))) <= 1e-12
+        assert single_front_bisection(ASYM, (-5.0, 50.0)) == -0.6091403883482016
 
     def test_requires_sign_change(self):
         with pytest.raises(ValueError):
@@ -1020,6 +1025,18 @@ class TestBisection:
     def test_rejects_nan_or_negative_tol(self, tol):
         with pytest.raises(ValueError, match="tol must be a nonnegative number"):
             self.within(5, lambda: single_front_bisection(ASYM, (-5.0, 5.0), tol=tol))
+
+    @pytest.mark.parametrize("bracket, end", [
+        ((-5.0, 60.0), "upper end 60.0"),
+        ((-80.0, 5.0), "lower end -80.0"),
+    ], ids=["upper", "lower"])
+    def test_an_end_whose_gap_underflows_is_named(self, bracket, end):
+        # the root lies inside both brackets, but at one end a strip's cdf
+        # gap underflows to 0, by which the literal balance would divide
+        assert bracket[0] < ASYM_ROOT < bracket[1]
+        with pytest.raises(ValueError, match=re.escape(
+                f"bracket's {end}: a strip's cdf gap underflows to 0")):
+            single_front_bisection(ASYM, bracket)
 
 
 class TestGridSearch:
