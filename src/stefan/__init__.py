@@ -8,80 +8,19 @@ gradient, Hessian and exact existence/uniqueness criteria
 (``stefan.energy``), minimizes it (``stefan.optimize``), assembles and
 verifies profiles (``stefan.solution``), and wraps everything in the
 ``stefan`` command line tool (``stefan.cli``).
+
+Each public name is declared once, in its layer's ``__all__``; the
+package exports the three lists in layer order.
 """
 
-from .energy import (
-    EnergyOverflow,
-    FreeBoundaries,
-    HessianParts,
-    InfeasiblePoint,
-    InvalidProblem,
-    ProblemSpec,
-    WellPosednessReport,
-    check_wellposedness,
-    energy,
-    gradient,
-    hessian,
-    hessian_parts,
-)
-from .optimize import (
-    GridSearchResult,
-    IterationRecord,
-    NewtonBreakdown,
-    SolveOptions,
-    SolveResult,
-    SolveStatus,
-    grid_search,
-    minimize,
-    newton_step,
-    ray_point,
-    single_front_bisection,
-)
-from .solution import (
-    ResidualReport,
-    SelfSimilarSolution,
-    assemble,
-    evaluate_profile,
-    evaluate_spacetime,
-    profile_curvature,
-    profile_slope,
-    stefan_residuals,
-    validate,
-)
+from . import energy, optimize, solution
+
+# `energy` names the module here; the star import below rebinds it to the
+# energy function, which is the public `stefan.energy`
+__all__ = energy.__all__ + optimize.__all__ + solution.__all__
+
+from .energy import *  # noqa: E402,F401,F403
+from .optimize import *  # noqa: E402,F401,F403
+from .solution import *  # noqa: E402,F401,F403
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "EnergyOverflow",
-    "FreeBoundaries",
-    "GridSearchResult",
-    "HessianParts",
-    "InfeasiblePoint",
-    "InvalidProblem",
-    "IterationRecord",
-    "NewtonBreakdown",
-    "ProblemSpec",
-    "ResidualReport",
-    "SelfSimilarSolution",
-    "SolveOptions",
-    "SolveResult",
-    "SolveStatus",
-    "WellPosednessReport",
-    "assemble",
-    "check_wellposedness",
-    "energy",
-    "evaluate_profile",
-    "evaluate_spacetime",
-    "grid_search",
-    "gradient",
-    "hessian",
-    "hessian_parts",
-    "minimize",
-    "newton_step",
-    "profile_curvature",
-    "profile_slope",
-    "ray_point",
-    "single_front_bisection",
-    "stefan_residuals",
-    "validate",
-]

@@ -247,6 +247,11 @@ def cmd_profile(args) -> int:
     step = (args.x_max - args.x_min) / (args.samples - 1)
     if step == math.inf:
         raise ConfigError("--x-min, --x-max and their difference must be finite")
+    out_path = args.out
+    fronts_path = os.path.join(os.path.dirname(os.path.abspath(out_path)), "fronts.csv")
+    # the fronts table would be written over the samples
+    if os.path.realpath(out_path) == os.path.realpath(fronts_path):
+        raise ConfigError("--out must not be the fronts.csv written beside it")
 
     result = minimize(spec, opts)
     if result.status is not SolveStatus.CONVERGED:
@@ -256,8 +261,6 @@ def cmd_profile(args) -> int:
 
     sqrt_t = math.sqrt(args.t)
     xs = [args.x_min + i * step for i in range(args.samples - 1)] + [args.x_max]
-    out_path = args.out
-    fronts_path = os.path.join(os.path.dirname(os.path.abspath(out_path)), "fronts.csv")
     try:
         with _rewrite(out_path) as fh:
             fh.write("x,xi,u\n")

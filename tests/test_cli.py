@@ -388,6 +388,20 @@ class TestProfile:
         assert err.startswith("error:") and err.count("\n") == 1, err
         assert not out.exists()
 
+    @pytest.mark.parametrize("link", [False, True])
+    def test_rejects_out_at_the_fronts_file_before_solving(self, tmp_path, capsys, link):
+        # fronts.csv would be written over the samples; a symlink beside
+        # it that points at it is the same file
+        out = tmp_path / ("samples.csv" if link else "fronts.csv")
+        if link:
+            out.symlink_to(tmp_path / "fronts.csv")
+        code = main(["profile", write_config(tmp_path, SYM_OK), "--t", "1",
+                     "--x-min", "-5", "--x-max", "5", "--samples", "11", "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1, err
+        assert sorted(p.name for p in tmp_path.iterdir() if p.is_file()) == ["cfg.json"]
+
     def test_diverging_problem_reported(self, tmp_path, capsys):
         code, _ = self.run_profile(tmp_path, ESCAPING, 1.0)
         assert code == 3

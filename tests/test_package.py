@@ -1,0 +1,22 @@
+"""The package surface: ``stefan`` exports its three layers' ``__all__``
+lists in layer order, each name bound to the layer's own object."""
+import importlib
+
+import stefan
+
+LAYERS = [importlib.import_module(f"stefan.{name}") for name in ("energy", "optimize", "solution")]
+
+
+def test_all_is_the_layers_all_in_layer_order():
+    assert stefan.__all__ == [name for layer in LAYERS for name in layer.__all__]
+    assert len(set(stefan.__all__)) == len(stefan.__all__)
+
+
+def test_each_name_is_the_layers_own_object():
+    for layer in LAYERS:
+        for name in layer.__all__:
+            assert getattr(stefan, name) is getattr(layer, name), name
+    # the function shadows its module's name in the package namespace
+    assert stefan.energy is LAYERS[0].energy and callable(stefan.energy)
+    from stefan import Piece
+    assert Piece is LAYERS[2].Piece
