@@ -47,9 +47,11 @@ import stat
 import sys
 from typing import Optional, Tuple
 
+# both layers are called through their modules, which `stefan` loads on
+# first use, so check and dump never load either
+from . import optimize, solution
 from .energy import EnergyOverflow, InvalidProblem, ProblemSpec, check_wellposedness
-from .optimize import NewtonBreakdown, SolveOptions, SolveStatus, minimize
-from .solution import assemble, evaluate_profile, validate
+from .options import NewtonBreakdown, SolveOptions, SolveStatus
 
 __all__ = ["main", "load_config", "ConfigError"]
 
@@ -194,7 +196,7 @@ def _apply_overrides(opts: SolveOptions, args) -> SolveOptions:
 def cmd_solve(args) -> int:
     spec, opts = load_config(args.config)
     opts = _apply_overrides(opts, args)
-    result = minimize(spec, opts)
+    result = optimize.minimize(spec, opts)
     payload = {
         "status": result.status.value,
         "xi_star": list(result.xi_star.xi) if result.xi_star is not None else None,
@@ -205,8 +207,8 @@ def cmd_solve(args) -> int:
         "wellposedness": _report_dict(spec),
     }
     if result.status is SolveStatus.CONVERGED:
-        sol = _post_solve(assemble, spec, result.xi_star)
-        report = _post_solve(validate, sol, _VALIDATE_SAMPLES)
+        sol = _post_solve(solution.assemble, spec, result.xi_star)
+        report = _post_solve(solution.validate, sol, _VALIDATE_SAMPLES)
         payload["residuals"] = dataclasses.asdict(report)
     _print_json(payload)
     return _EXIT_BY_STATUS[result.status]
@@ -253,11 +255,11 @@ def cmd_profile(args) -> int:
     if os.path.realpath(out_path) == os.path.realpath(fronts_path):
         raise ConfigError("--out must not be the fronts.csv written beside it")
 
-    result = minimize(spec, opts)
+    result = optimize.minimize(spec, opts)
     if result.status is not SolveStatus.CONVERGED:
         print(f"error: solve did not converge ({result.status.value})", file=sys.stderr)
         return _EXIT_BY_STATUS[result.status]
-    sol = _post_solve(assemble, spec, result.xi_star)
+    sol = _post_solve(solution.assemble, spec, result.xi_star)
 
     sqrt_t = math.sqrt(args.t)
     xs = [args.x_min + i * step for i in range(args.samples - 1)] + [args.x_max]
@@ -266,7 +268,7 @@ def cmd_profile(args) -> int:
             fh.write("x,xi,u\n")
             for x in xs:
                 xi = x / sqrt_t
-                fh.write(f"{x!r},{xi!r},{evaluate_profile(sol, xi)!r}\n")
+                fh.write(f"{x!r},{xi!r},{solution.evaluate_profile(sol, xi)!r}\n")
         with _rewrite(fronts_path) as fh:
             fh.write("i,xi,x_at_t\n")
             for i, xi in enumerate(sol.xi_star, start=1):
@@ -285,8 +287,26 @@ def cmd_dump(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that reads every float spelling as a value.
+
+    argparse by itself takes an argument that starts with "-" for a value
+    only when it is a plain decimal such as -0.001, and reads -1e-3, -1E3
+    or -inf as an unknown option: a usage error, exit 2.  Each parser of
+    the tree is one of these (add_subparsers makes its subparsers of the
+    parent's class).
+    """
+
+    def _parse_optional(self, arg_string):
+        try:
+            float(arg_string)
+        except ValueError:
+            return super()._parse_optional(arg_string)
+        return None
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="stefan",
         description="Self-similar solutions of multi-phase Stefan problems with Riemann data.",
     )

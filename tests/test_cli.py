@@ -488,7 +488,7 @@ class TestProfileRewrite:
         out.write_text("stale\n" * 1000)
         rows = 4
         calls = []
-        evaluate_profile = stefan.cli.evaluate_profile
+        evaluate_profile = stefan.solution.evaluate_profile
 
         def failing(sol, xi):
             if len(calls) == rows:
@@ -496,7 +496,7 @@ class TestProfileRewrite:
             calls.append(xi)
             return evaluate_profile(sol, xi)
 
-        monkeypatch.setattr(stefan.cli, "evaluate_profile", failing)
+        monkeypatch.setattr(stefan.solution, "evaluate_profile", failing)
         capsys.readouterr()
         assert self.profile(cfg, out) == 1
         err = capsys.readouterr().err
@@ -695,7 +695,7 @@ class TestStrictJson:
         self, tmp_path, capsys, monkeypatch, value
     ):
         report = stefan.ResidualReport(value, 0.0, 0.0, 66)
-        monkeypatch.setattr(stefan.cli, "validate", lambda sol, m: report)
+        monkeypatch.setattr(stefan.solution, "validate", lambda sol, m: report)
         path = write_config(tmp_path, SYM_OK)
         assert main(["solve", path]) == 1
         captured = capsys.readouterr()
@@ -824,7 +824,7 @@ class TestPostSolveOverflow:
         def validate(sol, samples_per_phase):
             raise ZeroDivisionError("float division by zero")
 
-        monkeypatch.setattr(sys.modules["stefan.cli"], "validate", validate)
+        monkeypatch.setattr(stefan.solution, "validate", validate)
         assert main(["solve", write_config(tmp_path, SYM_OK)]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -852,6 +852,49 @@ def test_missing_subcommand_is_usage_error(capsys):
         main([])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+class TestFloatSpellings:
+    """A value after --t, --x-min, --x-max or --grad-tol is read as a
+    float in every spelling float() takes, so a negative one with an
+    exponent, or -inf, is not read as an unknown option (a usage error,
+    exit 2, which the exit-code table gives to a non-coercive check)."""
+
+    @pytest.mark.parametrize("x_min", ["-1e-3", "-1E3", "-0.001", "-1_0", "-.5e+1"])
+    def test_negative_exponents_are_values(self, tmp_path, capsys, x_min):
+        out = tmp_path / "p.csv"
+        code = main(["profile", write_config(tmp_path, SYM_OK), "--t", "1e0",
+                     "--x-min", x_min, "--x-max", "1E1", "--samples", "3", "--out", str(out)])
+        assert code == 0, capsys.readouterr().err
+        assert float(out.read_text().splitlines()[1].split(",")[0]) == float(x_min)
+
+    @pytest.mark.parametrize(
+        "grid, message",
+        [
+            (["--t", "1", "--x-min", "-inf", "--x-max", "5"], "--x-min, --x-max"),
+            (["--t", "1", "--x-min", "-5", "--x-max", "-Infinity"], "--x-min must be below"),
+            (["--t", "-1E3", "--x-min", "-5", "--x-max", "5"], "--t must be positive"),
+        ],
+    )
+    def test_negative_values_reach_the_grid_checks(self, tmp_path, capsys, grid, message):
+        out = tmp_path / "p.csv"
+        code = main(["profile", write_config(tmp_path, SYM_OK), *grid,
+                     "--samples", "11", "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1, err
+        assert not out.exists()
+
+    def test_a_negative_grad_tol_reaches_solve_options(self, tmp_path, capsys):
+        assert main(["solve", write_config(tmp_path, SYM_OK), "--grad-tol", "-1e-3"]) == 1
+        assert capsys.readouterr().err == (
+            "error: command line: grad_tol must be positive and finite\n")
+
+    def test_an_unknown_option_is_still_a_usage_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", write_config(tmp_path, SYM_OK), "-x"])
+        assert exc.value.code == 2
+        capsys.readouterr()
 
 
 @pytest.mark.parametrize("n", [100, 200])

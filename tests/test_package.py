@@ -1,5 +1,6 @@
 """The package surface: ``stefan`` exports its three layers' ``__all__``
-lists in layer order, each name bound to the layer's own object."""
+lists in layer order, each name bound to the layer's own object;
+``optimize`` exports ``options.__all__`` as the head of its own."""
 import importlib
 
 import stefan
@@ -20,3 +21,12 @@ def test_each_name_is_the_layers_own_object():
     assert stefan.energy is LAYERS[0].energy and callable(stefan.energy)
     from stefan import Piece
     assert Piece is LAYERS[2].Piece
+
+
+def test_options_are_the_head_of_optimize_all():
+    options = importlib.import_module("stefan.options")
+    assert options.__all__ == ["SolveOptions", "SolveStatus", "NewtonBreakdown"]
+    assert LAYERS[1].__all__[:len(options.__all__)] == options.__all__
+    for name in options.__all__:
+        assert getattr(stefan, name) is getattr(LAYERS[1], name) is getattr(options, name), name
+        assert getattr(options, name).__module__ == "stefan.options", name
