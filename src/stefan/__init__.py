@@ -3,29 +3,34 @@
 The temperature profile of such a problem is piecewise an affine image
 of a Gaussian antiderivative, and its interface positions are the
 stationary points of an explicit convex-analytic energy.  This package
-evaluates that kernel (``stefan.kernel``), builds the energy with its
-gradient, Hessian and exact existence/uniqueness criteria
-(``stefan.energy``), minimizes it (``stefan.optimize``, with its
-settings and outcome types in ``stefan.options``), assembles and
-verifies profiles (``stefan.solution``), and wraps everything in the
-``stefan`` command line tool (``stefan.cli``).
+holds the problem data and the exact existence/uniqueness criteria
+(``stefan.problem``), evaluates the kernel (``stefan.kernel``), builds
+the energy with its gradient and Hessian (``stefan.energy``, which
+exports the problem's names too), minimizes it (``stefan.optimize``,
+with its settings and outcome types in ``stefan.options``), assembles
+and verifies profiles (``stefan.solution``), and wraps everything in
+the ``stefan`` command line tool (``stefan.cli``).
 
 Each public name is declared once, in its layer's ``__all__``; the
-package exports the three lists in layer order.  ``optimize`` and
-``solution`` are loaded on first use: both sit in ``sys.modules`` from
-``import stefan`` on, and the body of each runs at the first attribute
-read, so ``stefan check`` and ``stefan dump`` never run them.  The first
-read of a package name that is not bound yet (a name of either layer,
-or ``__all__``) loads both and binds all their names here, through
-``__getattr__``.
+package exports the energy's, the optimizer's and the solution's lists
+in that order.  ``problem`` and ``options`` load with the package and
+their names are bound from the start.  ``kernel``, ``energy``,
+``optimize`` and ``solution`` are loaded on first use: each sits in
+``sys.modules`` from ``import stefan`` on, and its body runs at the
+first attribute read, so ``stefan check`` and ``stefan dump`` run none
+of them.  The first read of a package name that is not bound yet (a
+name of a lazy layer, or ``__all__``) loads the energy, the optimizer
+and the solution and binds all their names here, through
+``__getattr__``; a submodule not imported yet is no such name, so
+``from stefan import cli`` loads no layer.
 """
 
+import importlib.machinery
 import importlib.util
 import sys
 
-from . import energy as _energy
-from .energy import *  # noqa: F401,F403
 from .options import *  # noqa: F401,F403
+from .problem import *  # noqa: F401,F403
 
 
 def _lazy(name):
@@ -38,19 +43,29 @@ def _lazy(name):
     return module
 
 
+kernel = _lazy("kernel")
+# the package's `energy` is the function, once bound
+_energy = _lazy("energy")
 optimize = _lazy("optimize")
 solution = _lazy("solution")
 
 
 def __getattr__(name):
-    # binds every name of both layers, then drops itself and __dir__, so the
-    # package is a plain module again: CPython 3.11 specializes attribute
+    fullname = f"{__name__}.{name}"
+    if fullname not in sys.modules and importlib.machinery.PathFinder.find_spec(
+            fullname, __path__):
+        # `from stefan import cli` probes for the attribute before it
+        # imports the submodule; finding none, it imports just that
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # binds every name of the three layers, then drops itself and __dir__, so
+    # the package is a plain module again: CPython 3.11 specializes attribute
     # reads only on modules without a __getattr__, and a caller may read
     # stefan.<name> once per profile sample
     names = globals()
-    for layer in (optimize, solution):
+    layers = (_energy, optimize, solution)
+    for layer in layers:
         names.update((key, getattr(layer, key)) for key in layer.__all__)
-    names["__all__"] = _energy.__all__ + optimize.__all__ + solution.__all__
+    names["__all__"] = [key for layer in layers for key in layer.__all__]
     names.pop("__getattr__", None)
     names.pop("__dir__", None)
     try:

@@ -47,11 +47,12 @@ import stat
 import sys
 from typing import Optional, Tuple
 
-# both layers are called through their modules, which `stefan` loads on
-# first use, so check and dump never load either
+# both solve layers are called through their modules, which `stefan` loads
+# on first use (and with them the energy and the kernel), so check and dump
+# load none of them
 from . import optimize, solution
-from .energy import EnergyOverflow, InvalidProblem, ProblemSpec, check_wellposedness
 from .options import NewtonBreakdown, SolveOptions, SolveStatus
+from .problem import EnergyOverflow, InvalidProblem, ProblemSpec, check_wellposedness
 
 __all__ = ["main", "load_config", "ConfigError"]
 

@@ -375,9 +375,8 @@ class TestWellPosedness:
     def test_report_is_computed_once_per_spec(self, monkeypatch):
         spec = ProblemSpec(u=(-1.0, 0.0, 2.0), a=(1.0, 1.5), k=(1.0, 0.5), d=(-0.2,))
         first = check_wellposedness(spec)
-        # a second call must not sum again (stefan.energy is the function,
-        # so the module is looked up by name)
-        module = importlib.import_module("stefan.energy")
+        # a second call must not sum again (the sums live in stefan.problem)
+        module = importlib.import_module("stefan.problem")
         monkeypatch.setattr(module, "_running_fsums", None)
         assert check_wellposedness(spec) is first
         monkeypatch.undo()

@@ -1,13 +1,15 @@
-"""``stefan.optimize`` and ``stefan.solution`` load on first use.
+"""``stefan.kernel``, ``stefan.energy``, ``stefan.optimize`` and
+``stefan.solution`` load on first use.
 
-Both sit in ``sys.modules`` from ``import stefan`` on, and the body of
-each runs at the first attribute read, so a CLI process that never
-reaches a layer never runs it: ``check``, ``dump`` and every subcommand
-on a bad config run neither, and a Diverged solve never runs
+Each sits in ``sys.modules`` from ``import stefan`` on, and its body
+runs at the first attribute read, so a CLI process that never reaches a
+layer never runs it: ``check``, ``dump`` and every subcommand on a bad
+config run none of the four, and a Diverged solve never runs
 ``solution``.  The first read of a package name not yet bound binds
-every name of both layers in the package, through ``__getattr__``, which
-then drops itself.  Each script runs in a fresh interpreter, since this
-test process has loaded both layers.
+every name of the energy, the optimizer and the solution in the
+package, through ``__getattr__``, which then drops itself; a submodule
+is not such a name.  Each script runs in a fresh interpreter, since this
+test process has loaded every layer.
 """
 import os
 import subprocess
@@ -21,54 +23,82 @@ import stefan
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 # type() reads no attribute of the module, so it does not trigger the load
-CLI_LOADS = """
-import contextlib, io, sys, types
+LOADED = """
+import sys, types
+
+def loaded():
+    return [type(sys.modules[f"stefan.{m}"]) is types.ModuleType
+            for m in ("kernel", "energy", "optimize", "solution")]
+"""
+
+CLI_LOADS = LOADED + """
+import contextlib, io
 import stefan.cli
 
 def run(*argv):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         return stefan.cli.main(list(argv))
 
-def loaded():
-    return [type(sys.modules[m]) is types.ModuleType for m in ("stefan.optimize", "stefan.solution")]
-
 good, diverging, bad, out = sys.argv[1:]
 grid = ["--t", "1", "--x-min", "-1", "--x-max", "1", "--samples", "3", "--out", out]
-assert loaded() == [False, False], loaded()
+assert loaded() == [False] * 4, loaded()
 codes = [run("check", good), run("dump", good), run("check", diverging),
          run("check", bad), run("solve", bad), run("profile", bad, *grid), run("dump", bad)]
 assert codes == [0, 0, 2, 1, 1, 1, 1], codes
-assert loaded() == [False, False], loaded()
+assert loaded() == [False] * 4, loaded()
 assert [run("solve", diverging), run("profile", diverging, *grid)] == [3, 3]
-assert loaded() == [True, False], loaded()
+assert loaded() == [True, True, True, False], loaded()
 assert run("solve", good) == 0
-assert loaded() == [True, True], loaded()
+assert loaded() == [True] * 4, loaded()
 """
 
-# the options types, their pickles and the package's own names need neither layer
-SURFACE = """
-import pickle, sys, types
+# the problem and options types, their pickles and the package's own names
+# need none of the lazy layers
+SURFACE = LOADED + """
+import pickle
 import stefan
-from stefan import SolveOptions, SolveStatus
-
-def loaded():
-    return [type(sys.modules[m]) is types.ModuleType for m in ("stefan.optimize", "stefan.solution")]
+from stefan import ProblemSpec, SolveOptions, SolveStatus, check_wellposedness
 
 opts = SolveOptions(grad_tol=1e-9, max_iter=7)
 assert pickle.loads(pickle.dumps(opts)) == opts
 for status in SolveStatus:
     assert pickle.loads(pickle.dumps(status)) is status
-assert stefan.check_wellposedness and stefan.NewtonBreakdown
-assert loaded() == [False, False], loaded()
+spec = ProblemSpec(u=(-1.0, 0.0, 2.0), a=(1.0, 1.5), k=(1.0, 0.5), d=(-0.2,))
+report = check_wellposedness(spec)
+assert pickle.loads(pickle.dumps(report)) == report
+copy = pickle.loads(pickle.dumps(spec))
+assert copy == spec and check_wellposedness(copy) == report
+assert stefan.InvalidProblem and stefan.EnergyOverflow and stefan.NewtonBreakdown
+assert loaded() == [False] * 4, loaded()
 
-# the first read of a layer's name binds every name of both layers, and
-# drops the hook, so that later reads are plain module attribute reads
+# a pickle that names stefan.energy, as the classes' pickles did before
+# they moved to stefan.problem, loads the energy and gives the same class
+old = pickle.dumps(ProblemSpec(u=spec.u, a=spec.a, k=spec.k, d=spec.d), protocol=2)
+assert old.count(b"cstefan.problem\\nProblemSpec\\n") == 1, old
+old = old.replace(b"cstefan.problem\\n", b"cstefan.energy\\n")
+assert pickle.loads(old) == spec and type(pickle.loads(old)) is ProblemSpec
+assert loaded() == [False, True, False, False], loaded()
+
+# the first read of a layer's name binds every name of the three layers,
+# and drops the hook, so that later reads are plain module attribute reads
 assert "minimize" not in vars(stefan) and "__getattr__" in vars(stefan)
 minimize = stefan.minimize
-assert loaded() == [True, True], loaded()
+assert loaded() == [False, True, True, True], loaded()
 assert vars(stefan)["minimize"] is minimize is sys.modules["stefan.optimize"].minimize
 assert all(name in vars(stefan) for name in stefan.__all__)
 assert "__getattr__" not in vars(stefan) and "__dir__" not in vars(stefan)
+"""
+
+# the import system probes `stefan.cli` as an attribute before importing the
+# submodule; that probe loads no layer, and the names still bind afterwards
+FROM_IMPORT = LOADED + """
+from stefan import cli
+assert cli is sys.modules["stefan.cli"] and callable(cli.main)
+assert loaded() == [False] * 4, loaded()
+from stefan import minimize
+assert minimize is sys.modules["stefan.optimize"].minimize
+from stefan import energy
+assert callable(energy) and energy is sys.modules["stefan.energy"].energy
 """
 
 # a star import or dir() as the first read binds every name too
@@ -103,6 +133,10 @@ def test_cli_runs_only_the_layers_it_reaches(tmp_path):
 
 def test_package_surface_loads_layers_on_first_use():
     _run(SURFACE)
+
+
+def test_importing_a_submodule_from_the_package_loads_no_layer():
+    _run(FROM_IMPORT)
 
 
 @pytest.mark.parametrize("first", ["star", "dir"])

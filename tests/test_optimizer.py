@@ -544,9 +544,9 @@ class TestMinimize:
 
     def test_coercivity_is_tested_once_per_spec_before_any_step(self, monkeypatch):
         events = []
-        # stefan.energy is the function, so the module is looked up by name
-        energy_module = importlib.import_module("stefan.energy")
-        sums, damped = energy_module._running_fsums, stefan.optimize._damped_step
+        # check_wellposedness takes its sums from stefan.problem
+        problem_module = importlib.import_module("stefan.problem")
+        sums, damped = problem_module._running_fsums, stefan.optimize._damped_step
 
         def summing(*args, **kwargs):
             events.append("sums")
@@ -556,7 +556,7 @@ class TestMinimize:
             events.append("step")
             return damped(*args)
 
-        monkeypatch.setattr(energy_module, "_running_fsums", summing)
+        monkeypatch.setattr(problem_module, "_running_fsums", summing)
         monkeypatch.setattr(stefan.optimize, "_damped_step", stepping)
         spec = random_convex_spec(np.random.default_rng(3), 50)
         res = minimize(spec)

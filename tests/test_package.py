@@ -1,6 +1,7 @@
 """The package surface: ``stefan`` exports its three layers' ``__all__``
 lists in layer order, each name bound to the layer's own object;
-``optimize`` exports ``options.__all__`` as the head of its own."""
+``optimize`` exports ``options.__all__`` as the head of its own, and
+``energy`` exports every name of ``problem.__all__``."""
 import importlib
 
 import stefan
@@ -30,3 +31,13 @@ def test_options_are_the_head_of_optimize_all():
     for name in options.__all__:
         assert getattr(stefan, name) is getattr(LAYERS[1], name) is getattr(options, name), name
         assert getattr(options, name).__module__ == "stefan.options", name
+
+
+def test_problem_names_are_exported_by_energy():
+    problem = importlib.import_module("stefan.problem")
+    assert problem.__all__ == ["InvalidProblem", "EnergyOverflow", "ProblemSpec",
+                               "WellPosednessReport", "check_wellposedness"]
+    assert set(problem.__all__) <= set(LAYERS[0].__all__)
+    for name in problem.__all__:
+        assert getattr(stefan, name) is getattr(LAYERS[0], name) is getattr(problem, name), name
+        assert getattr(problem, name).__module__ == "stefan.problem", name
